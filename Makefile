@@ -62,7 +62,7 @@ bench-compare:
 	fi
 
 # The zero-alloc / allocation-budget regression tests: kwset.Jaccard and
-# the buffer-pool hit path must stay allocation-free, steady-state top-k
+# the buffer-pool hit paths (Get and GetDecoded) must stay allocation-free, steady-state top-k
 # queries must stay under their documented budgets (internal/core), and the
 # unsampled event-log record path must stay within one allocation per query
 # (internal/obs).

@@ -5,6 +5,7 @@ import (
 
 	"stpq/internal/geo"
 	"stpq/internal/obs"
+	"stpq/internal/rtree"
 )
 
 // combination is a valid combination C = {t_1, ..., t_c} of feature
@@ -44,6 +45,8 @@ type combinationStream struct {
 	// grids accelerate eager generation: one spatial hash per feature
 	// set over the retrieved (concrete) features, with cell size 2r, so
 	// valid partners of a new feature are found without scanning D_j.
+	// Empty when the stream does not use them; the grids themselves are
+	// kept for reuse by later queries.
 	grids []*pairGrid
 
 	d         [][]featureRef // retrieved features per set, scores non-increasing
@@ -62,6 +65,13 @@ type combinationStream struct {
 	// call overwrites it, so callers must consume a combination before
 	// requesting the next one (all STPS drivers do).
 	refsBuf []featureRef
+
+	// vec and chosen are generateEager's working index vector and the
+	// dimensions assigned so far; arena backs the index vectors pushed
+	// onto the heap (see newVec). All three are reused across queries.
+	vec    []int
+	chosen []int
+	arena  []int
 }
 
 // vecEntry is an index vector into the d arrays with its combination score.
@@ -91,13 +101,16 @@ func newCombinationStream(e *Engine, q *Query, pairFilter bool, stats *Stats, tr
 	cs.reinit(c)
 	cs.q, cs.stats, cs.tr = q, stats, tr
 	cs.pairFilter, cs.pull, cs.eager = pairFilter, e.opts.Pull, eager
+	cs.grids = cs.grids[:0]
 	if eager && pairFilter {
 		cs.grids = reuseLen(cs.grids, c)
-		for i := range cs.grids {
-			cs.grids[i] = newPairGrid(2 * q.Radius)
+		for i, g := range cs.grids {
+			if g == nil {
+				g = &pairGrid{cells: make(map[[2]int32]cellSpan)}
+				cs.grids[i] = g
+			}
+			g.reset(2 * q.Radius)
 		}
-	} else {
-		cs.grids = nil
 	}
 	for i := 0; i < c; i++ {
 		if err := cs.streams[i].init(e.features[i], q.keywordsFor(i)); err != nil {
@@ -130,6 +143,7 @@ func (cs *combinationStream) reinit(c int) {
 		cs.exhausted[i] = false
 	}
 	cs.heap = cs.heap[:0]
+	cs.arena = cs.arena[:0]
 	if cs.visited == nil {
 		cs.visited = make(map[string]bool)
 	} else {
@@ -162,17 +176,27 @@ func reuseNested[T any](buf [][]T, n int) [][]T {
 
 // pairGrid is a spatial hash with cell size equal to the pair-distance
 // limit 2r: any point within 2r of p lies in one of the 3×3 cells around
-// p's cell.
+// p's cell. Each cell is an intrusive list over the feature indexes it
+// holds, threaded through next in insertion (ascending) order, so adding
+// a feature and walking a neighbourhood allocate nothing once the map and
+// next have grown.
 type pairGrid struct {
 	cell  float64
-	cells map[[2]int32][]int
+	cells map[[2]int32]cellSpan
+	next  []int32 // next[idx]: the following index in idx's cell, or -1
 }
 
-func newPairGrid(cell float64) *pairGrid {
+// cellSpan is the first and last feature index of one grid cell.
+type cellSpan struct{ first, last int32 }
+
+// reset empties the grid for a new query with the given cell size.
+func (g *pairGrid) reset(cell float64) {
 	if cell <= 0 {
 		cell = 1
 	}
-	return &pairGrid{cell: cell, cells: make(map[[2]int32][]int)}
+	g.cell = cell
+	clear(g.cells)
+	g.next = g.next[:0]
 }
 
 // key maps a point to its cell.
@@ -180,23 +204,26 @@ func (g *pairGrid) key(p geo.Point) [2]int32 {
 	return [2]int32{int32(math.Floor(p.X / g.cell)), int32(math.Floor(p.Y / g.cell))}
 }
 
-// add registers index idx at point p.
+// add registers index idx at point p. Indexes are added in increasing
+// order.
 func (g *pairGrid) add(p geo.Point, idx int) {
+	g.next = reuseLen(g.next, idx+1)
+	g.next[idx] = -1
 	k := g.key(p)
-	g.cells[k] = append(g.cells[k], idx)
+	if span, ok := g.cells[k]; ok {
+		g.next[span.last] = int32(idx)
+		g.cells[k] = cellSpan{first: span.first, last: int32(idx)}
+		return
+	}
+	g.cells[k] = cellSpan{first: int32(idx), last: int32(idx)}
 }
 
-// near returns the indexes whose points can be within the limit of p
-// (a superset; callers re-check exact distances).
-func (g *pairGrid) near(p geo.Point) []int {
-	k := g.key(p)
-	var out []int
-	for dx := int32(-1); dx <= 1; dx++ {
-		for dy := int32(-1); dy <= 1; dy++ {
-			out = append(out, g.cells[[2]int32{k[0] + dx, k[1] + dy}]...)
-		}
+// first returns the first index of the cell at k, or -1 when it is empty.
+func (g *pairGrid) first(k [2]int32) int32 {
+	if span, ok := g.cells[k]; ok {
+		return span.first
 	}
-	return out
+	return -1
 }
 
 // next returns the valid combination with the highest score not yet
@@ -357,8 +384,7 @@ func (cs *combinationStream) seedOrFlush(i int) {
 // per dimension), deferring those that point past the retrieved prefix.
 func (cs *combinationStream) pushSuccessors(vec []int) {
 	for i := range vec {
-		succ := make([]int, len(vec))
-		copy(succ, vec)
+		succ := cs.newVec(vec)
 		succ[i]++
 		if cs.visited[vecKey(succ)] {
 			continue
@@ -386,84 +412,110 @@ func (cs *combinationStream) pushVec(vec []int) {
 	cs.heap.push(vecEntry{vec: vec, score: score})
 }
 
+// newVec copies vec into the stream's index-vector arena and returns the
+// copy. Vectors live until the query ends (the heap and the pending lists
+// hold them), so the arena is only rewound by reinit; when it fills up a
+// larger one replaces it and the full one stays reachable through the
+// vectors carved from it. After warm-up a pooled stream allocates no
+// index vectors at all.
+func (cs *combinationStream) newVec(vec []int) []int {
+	n := len(vec)
+	if len(cs.arena)+n > cap(cs.arena) {
+		size := 2 * cap(cs.arena)
+		if size < 64*n {
+			size = 64 * n
+		}
+		cs.arena = make([]int, 0, size)
+	}
+	start := len(cs.arena)
+	cs.arena = cs.arena[:start+n]
+	v := cs.arena[start : start+n : start+n]
+	copy(v, vec)
+	return v
+}
+
 // generateEager materializes, as the paper's Algorithm 4 line 9 does, all
 // combinations that include the newest feature of set i, discarding
 // invalid ones immediately. Once a concrete feature is part of the
 // partial combination, candidates for the remaining sets come from the
 // spatial grid around it (every member of a valid combination lies within
 // 2r of every other), so generation cost tracks the number of valid
-// combinations rather than |D_1|×…×|D_c|.
+// combinations rather than |D_1|×…×|D_c|. The walk runs on the stream's
+// reusable vec/chosen buffers and allocates nothing but arena growth.
 func (cs *combinationStream) generateEager(i int) {
 	newIdx := len(cs.d[i]) - 1
-	newRef := cs.d[i][newIdx]
-	if cs.grids != nil && !newRef.virtual {
+	newRef := &cs.d[i][newIdx]
+	if len(cs.grids) > 0 && !newRef.virtual {
 		cs.grids[i].add(newRef.entry.Point(), newIdx)
 	}
-	c := len(cs.d)
-	vec := make([]int, c)
-	chosen := make([]int, 0, c) // dims already assigned
-	vec[i] = newIdx
-	chosen = append(chosen, i)
+	cs.vec = reuseLen(cs.vec, len(cs.d))
+	cs.vec[i] = newIdx
+	cs.chosen = append(cs.chosen[:0], i)
+	// The anchor is the first concrete feature of the partial
+	// combination (nil while it holds only ∅).
+	cs.eagerDim(i, 0, newRef.score, newRef.entry)
+}
 
-	var anchor *featureRef
-	if !newRef.virtual {
-		anchor = &newRef
+// eagerDim assigns dimension dim (skipping the fixed dimension i) of the
+// partial combination in cs.vec and recurses; at the last dimension it
+// pushes the completed vector.
+func (cs *combinationStream) eagerDim(i, dim int, score float64, anchor *rtree.Entry) {
+	if dim == i {
+		dim++
 	}
-
-	var rec func(dim int, score float64, anchor *featureRef)
-	rec = func(dim int, score float64, anchor *featureRef) {
-		if dim == c {
-			v := make([]int, c)
-			copy(v, vec)
-			cs.heap.push(vecEntry{vec: v, score: score})
-			return
-		}
-		if dim == i {
-			rec(dim+1, score, anchor)
-			return
-		}
-		try := func(a int) {
-			ref := cs.d[dim][a]
-			vec[dim] = a
-			chosen = append(chosen, dim)
-			if cs.validAgainstChosen(ref, vec, chosen[:len(chosen)-1]) {
-				next := anchor
-				if next == nil && !ref.virtual {
-					next = &ref
+	if dim == len(cs.d) {
+		cs.heap.push(vecEntry{vec: cs.newVec(cs.vec), score: score})
+		return
+	}
+	if anchor != nil && len(cs.grids) > 0 {
+		g := cs.grids[dim]
+		k := g.key(anchor.Point())
+		for dx := int32(-1); dx <= 1; dx++ {
+			for dy := int32(-1); dy <= 1; dy++ {
+				for a := g.first([2]int32{k[0] + dx, k[1] + dy}); a >= 0; a = g.next[a] {
+					cs.eagerTry(i, dim, int(a), score, anchor)
 				}
-				rec(dim+1, score+ref.score, next)
 			}
-			chosen = chosen[:len(chosen)-1]
 		}
-		if anchor != nil && cs.grids != nil {
-			for _, a := range cs.grids[dim].near(anchor.entry.Point()) {
-				try(a)
-			}
-			// The virtual feature (always the last element, if present)
-			// pairs with anything.
-			if n := len(cs.d[dim]); n > 0 && cs.d[dim][n-1].virtual {
-				try(n - 1)
-			}
-			return
+		// The virtual feature (always the last element, if present)
+		// pairs with anything.
+		if n := len(cs.d[dim]); n > 0 && cs.d[dim][n-1].virtual {
+			cs.eagerTry(i, dim, n-1, score, anchor)
 		}
-		for a := 0; a < len(cs.d[dim]); a++ {
-			try(a)
-		}
+		return
 	}
-	rec(0, newRef.score, anchor)
+	for a := range cs.d[dim] {
+		cs.eagerTry(i, dim, a, score, anchor)
+	}
+}
+
+// eagerTry places feature a of set dim into the partial combination and,
+// if it is valid against the members chosen so far, recurses.
+func (cs *combinationStream) eagerTry(i, dim, a int, score float64, anchor *rtree.Entry) {
+	ref := &cs.d[dim][a]
+	cs.vec[dim] = a
+	if !cs.validAgainstChosen(ref, cs.vec, cs.chosen) {
+		return
+	}
+	if anchor == nil {
+		anchor = ref.entry // stays nil for ∅
+	}
+	cs.chosen = append(cs.chosen, dim)
+	cs.eagerDim(i, dim+1, score+ref.score, anchor)
+	cs.chosen = cs.chosen[:len(cs.chosen)-1]
 }
 
 // validAgainstChosen checks Definition 4's pairwise constraint for ref at
 // its dim against every already-chosen member. The virtual feature is at
 // distance 0 from everything. Always true when the pair filter is off.
-func (cs *combinationStream) validAgainstChosen(ref featureRef, vec []int, chosenDims []int) bool {
+func (cs *combinationStream) validAgainstChosen(ref *featureRef, vec []int, chosenDims []int) bool {
 	if !cs.pairFilter || ref.virtual {
 		return true
 	}
 	limit := 2 * cs.q.Radius
 	p := ref.entry.Point()
 	for _, j := range chosenDims {
-		other := cs.d[j][vec[j]]
+		other := &cs.d[j][vec[j]]
 		if other.virtual {
 			continue
 		}

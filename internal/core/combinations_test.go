@@ -321,7 +321,7 @@ func TestCombinationModeDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cs.eager || cs.grids == nil {
+	if !cs.eager || len(cs.grids) == 0 {
 		t.Error("range variant should default to grid-accelerated eager")
 	}
 	cs, err = newCombinationStream(w.engine, &q, false, &stats, nil)

@@ -9,8 +9,9 @@ import (
 // feature object with its preference score s(t), or the virtual feature ∅
 // emitted after the set is exhausted (paper Section 6.1): dist(p,∅) = 0
 // and s(∅) = 0, so a combination may cover fewer than c feature sets.
+// entry points into an immutable decoded node (nil for ∅).
 type featureRef struct {
-	entry   rtree.Entry
+	entry   *rtree.Entry
 	score   float64
 	virtual bool
 }
@@ -62,8 +63,8 @@ func (s *featureStream) init(g *index.FeatureGroup, q index.QueryKeywords) error
 		if err != nil {
 			return err
 		}
-		if part.EntryRelevant(root, s.pq) {
-			s.heap.push(boundItem{entry: root, part: pi, bound: part.EntryBound(root, s.pq)})
+		if part.EntryRelevant(&root, &s.pq) {
+			s.heap.push(boundItem{entry: &root, part: pi, bound: part.EntryBound(&root, &s.pq)})
 		}
 	}
 	return nil
@@ -79,7 +80,7 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 			if it.resolved {
 				return featureRef{entry: it.entry, score: it.bound}, false, nil
 			}
-			score, relevant, err := idx.ResolveLeaf(it.entry, s.pq)
+			score, relevant, err := idx.ResolveLeaf(it.entry, &s.pq)
 			if err != nil {
 				return featureRef{}, false, err
 			}
@@ -96,11 +97,12 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 		if err != nil {
 			return featureRef{}, false, err
 		}
-		for _, c := range node.Entries {
-			if !idx.EntryRelevant(c, s.pq) {
+		for i := range node.Entries {
+			c := &node.Entries[i]
+			if !idx.EntryRelevant(c, &s.pq) {
 				continue
 			}
-			s.heap.push(boundItem{entry: c, part: it.part, bound: idx.EntryBound(c, s.pq)})
+			s.heap.push(boundItem{entry: c, part: it.part, bound: idx.EntryBound(c, &s.pq)})
 		}
 	}
 	if !s.exhausted {
@@ -112,9 +114,10 @@ func (s *featureStream) next() (ref featureRef, done bool, err error) {
 
 // boundItem pairs an entry with its score bound ŝ(e) and the feature-group
 // part it came from; resolved marks leaf entries whose bound is already the
-// exact score.
+// exact score. entry points into an immutable decoded node (or at a root
+// aggregate), so heap moves copy a pointer, not the entry.
 type boundItem struct {
-	entry    rtree.Entry
+	entry    *rtree.Entry
 	part     int
 	bound    float64
 	resolved bool

@@ -60,7 +60,7 @@ func TestFeatureStreamOrderAndCoverage(t *testing.T) {
 			}
 			ids[r.entry.ItemID] = true
 			// Emitted score must equal Definition 1 exactly.
-			if want := index.Score(r.entry, qk); math.Abs(want-r.score) > 1e-12 {
+			if want := index.Score(*r.entry, qk); math.Abs(want-r.score) > 1e-12 {
 				t.Fatalf("score %v, want %v", r.score, want)
 			}
 		}

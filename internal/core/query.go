@@ -460,7 +460,8 @@ func (e *Engine) PrecomputeVoronoiCells() error {
 			if err != nil {
 				return err
 			}
-			for _, entry := range all {
+			for j := range all {
+				entry := &all[j]
 				cell, err := e.voronoiCell(i, entry)
 				if err != nil {
 					return err
@@ -730,10 +731,10 @@ func (e *Engine) UpperBound(q Query, rect geo.Rect) (float64, error) {
 			if err != nil {
 				return 0, err
 			}
-			if !part.EntryRelevant(root, prepared) {
+			if !part.EntryRelevant(&root, &prepared) {
 				continue
 			}
-			b := part.EntryBound(root, prepared)
+			b := part.EntryBound(&root, &prepared)
 			switch q.Variant {
 			case RangeScore:
 				if geo.RectMinDist(rect, root.Rect) > q.Radius {

@@ -179,8 +179,8 @@ func (e *Engine) computeScore(set int, q *Query, p pointArg) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		if part.EntryRelevant(root, prepared) && root.Rect.MinDist(p) <= q.Radius {
-			pq.push(boundItem{entry: root, part: pi, bound: part.EntryBound(root, prepared)})
+		if part.EntryRelevant(&root, &prepared) && root.Rect.MinDist(p) <= q.Radius {
+			pq.push(boundItem{entry: &root, part: pi, bound: part.EntryBound(&root, &prepared)})
 		}
 	}
 	for pq.Len() > 0 {
@@ -193,7 +193,7 @@ func (e *Engine) computeScore(set int, q *Query, p pointArg) (float64, error) {
 			if it.resolved {
 				return it.bound, nil
 			}
-			score, relevant, err := idx.ResolveLeaf(it.entry, prepared)
+			score, relevant, err := idx.ResolveLeaf(it.entry, &prepared)
 			if err != nil {
 				return 0, err
 			}
@@ -210,14 +210,15 @@ func (e *Engine) computeScore(set int, q *Query, p pointArg) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		for _, child := range n.Entries {
-			if !idx.EntryRelevant(child, prepared) {
+		for i := range n.Entries {
+			child := &n.Entries[i]
+			if !idx.EntryRelevant(child, &prepared) {
 				continue
 			}
 			if child.Rect.MinDist(p) > q.Radius {
 				continue
 			}
-			pq.push(boundItem{entry: child, part: it.part, bound: idx.EntryBound(child, prepared)})
+			pq.push(boundItem{entry: child, part: it.part, bound: idx.EntryBound(child, &prepared)})
 		}
 	}
 	return 0, nil
@@ -234,7 +235,7 @@ func (e *Engine) computeInfluenceScore(set int, q *Query, p pointArg) (float64, 
 		return 0, nil
 	}
 	prepared := g.Prepare(qk)
-	decay := func(en rtree.Entry) float64 {
+	decay := func(en *rtree.Entry) float64 {
 		var d float64
 		if en.Leaf {
 			d = en.Point().Dist(p)
@@ -252,8 +253,8 @@ func (e *Engine) computeInfluenceScore(set int, q *Query, p pointArg) (float64, 
 		if err != nil {
 			return 0, err
 		}
-		if part.EntryRelevant(root, prepared) {
-			pq.push(boundItem{entry: root, part: pi, bound: part.EntryBound(root, prepared) * decay(root)})
+		if part.EntryRelevant(&root, &prepared) {
+			pq.push(boundItem{entry: &root, part: pi, bound: part.EntryBound(&root, &prepared) * decay(&root)})
 		}
 	}
 	for pq.Len() > 0 {
@@ -263,7 +264,7 @@ func (e *Engine) computeInfluenceScore(set int, q *Query, p pointArg) (float64, 
 			if it.resolved {
 				return it.bound, nil
 			}
-			score, relevant, err := idx.ResolveLeaf(it.entry, prepared)
+			score, relevant, err := idx.ResolveLeaf(it.entry, &prepared)
 			if err != nil {
 				return 0, err
 			}
@@ -281,11 +282,12 @@ func (e *Engine) computeInfluenceScore(set int, q *Query, p pointArg) (float64, 
 		if err != nil {
 			return 0, err
 		}
-		for _, child := range n.Entries {
-			if !idx.EntryRelevant(child, prepared) {
+		for i := range n.Entries {
+			child := &n.Entries[i]
+			if !idx.EntryRelevant(child, &prepared) {
 				continue
 			}
-			pq.push(boundItem{entry: child, part: it.part, bound: idx.EntryBound(child, prepared) * decay(child)})
+			pq.push(boundItem{entry: child, part: it.part, bound: idx.EntryBound(child, &prepared) * decay(child)})
 		}
 	}
 	return 0, nil
@@ -306,12 +308,12 @@ func (e *Engine) computeNNScore(set int, q *Query, p pointArg) (float64, error) 
 		score      float64
 		resolveErr error
 	)
-	err := e.groupAscendDistance(g, p, func(part int, en rtree.Entry, _ float64) bool {
+	err := e.groupAscendDistance(g, p, func(part int, en *rtree.Entry, _ float64) bool {
 		// First popped leaf is the nearest neighbor; its score counts
 		// only if it is truly relevant (signature hits are verified).
 		idx := g.Part(part)
-		if idx.EntryRelevant(en, prepared) {
-			s, relevant, err := idx.ResolveLeaf(en, prepared)
+		if idx.EntryRelevant(en, &prepared) {
+			s, relevant, err := idx.ResolveLeaf(en, &prepared)
 			if err != nil {
 				resolveErr = err
 			} else if relevant {
@@ -332,7 +334,7 @@ func (e *Engine) computeNNScore(set int, q *Query, p pointArg) (float64, error) 
 // the NN variant on a sharded engine this is the cross-border rule: a part's
 // candidate leaf is popped — and thus final — only once its distance beats
 // the mindist of every unvisited subtree of every other part.
-func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn func(part int, en rtree.Entry, d float64) bool) error {
+func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn func(part int, en *rtree.Entry, d float64) bool) error {
 	h := e.scratchDistHeap()
 	for pi, part := range g.Parts() {
 		if part.Len() == 0 {
@@ -342,7 +344,7 @@ func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn
 		if err != nil {
 			return err
 		}
-		h.push(distItem{entry: root, part: pi, dist: root.Rect.MinDist(center)})
+		h.push(distItem{entry: &root, part: pi, dist: root.Rect.MinDist(center)})
 	}
 	for h.Len() > 0 {
 		it := h.pop()
@@ -356,16 +358,18 @@ func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn
 		if err != nil {
 			return err
 		}
-		for _, c := range n.Entries {
+		for i := range n.Entries {
+			c := &n.Entries[i]
 			h.push(distItem{entry: c, part: it.part, dist: c.Rect.MinDist(center)})
 		}
 	}
 	return nil
 }
 
-// distItem pairs an entry with its part of origin and minimum distance.
+// distItem pairs an entry with its part of origin and minimum distance;
+// like boundItem it points into an immutable decoded node.
 type distItem struct {
-	entry rtree.Entry
+	entry *rtree.Entry
 	part  int
 	dist  float64
 }

@@ -20,8 +20,8 @@ func (e *Engine) stdsBatch(q *Query, stats *Stats, tr *obs.Trace) ([]Result, err
 	var walkErr error
 	err := e.objects.Tree().Leaves(func(batch []rtree.Entry) bool {
 		objs := e.scratchBatch(len(batch))
-		for i, en := range batch {
-			objs[i].entry = en
+		for i := range batch {
+			objs[i].entry = &batch[i]
 			stats.ObjectsScored++
 		}
 		active := objs
@@ -63,9 +63,10 @@ func (e *Engine) stdsBatch(q *Query, stats *Stats, tr *obs.Trace) ([]Result, err
 	return acc.results(), nil
 }
 
-// batchObj tracks one data object through the per-set score computations.
+// batchObj tracks one data object through the per-set score computations;
+// entry points into the object tree's immutable decoded leaf.
 type batchObj struct {
-	entry    rtree.Entry
+	entry    *rtree.Entry
 	sum      float64
 	resolved bool // score for the current feature set found
 }
@@ -83,7 +84,7 @@ func (e *Engine) batchRangeScores(set int, q *Query, batch []*batchObj) error {
 		o.resolved = false
 	}
 	unresolved := len(batch)
-	withinAny := func(en rtree.Entry) bool {
+	withinAny := func(en *rtree.Entry) bool {
 		for _, o := range batch {
 			if o.resolved {
 				continue
@@ -115,8 +116,8 @@ func (e *Engine) batchRangeScores(set int, q *Query, batch []*batchObj) error {
 		if err != nil {
 			return err
 		}
-		if part.EntryRelevant(root, prepared) && withinAny(root) {
-			pq.push(boundItem{entry: root, part: pi, bound: part.EntryBound(root, prepared)})
+		if part.EntryRelevant(&root, &prepared) && withinAny(&root) {
+			pq.push(boundItem{entry: &root, part: pi, bound: part.EntryBound(&root, &prepared)})
 		}
 	}
 	for pq.Len() > 0 && unresolved > 0 {
@@ -131,7 +132,7 @@ func (e *Engine) batchRangeScores(set int, q *Query, batch []*batchObj) error {
 			if !withinAny(it.entry) {
 				continue // no candidate object: skip the verification read
 			}
-			score, relevant, err := idx.ResolveLeaf(it.entry, prepared)
+			score, relevant, err := idx.ResolveLeaf(it.entry, &prepared)
 			if err != nil {
 				return err
 			}
@@ -149,14 +150,15 @@ func (e *Engine) batchRangeScores(set int, q *Query, batch []*batchObj) error {
 		if err != nil {
 			return err
 		}
-		for _, child := range n.Entries {
-			if !idx.EntryRelevant(child, prepared) {
+		for i := range n.Entries {
+			child := &n.Entries[i]
+			if !idx.EntryRelevant(child, &prepared) {
 				continue
 			}
 			if !withinAny(child) {
 				continue
 			}
-			pq.push(boundItem{entry: child, part: it.part, bound: idx.EntryBound(child, prepared)})
+			pq.push(boundItem{entry: child, part: it.part, bound: idx.EntryBound(child, &prepared)})
 		}
 	}
 	return nil

@@ -291,7 +291,7 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, e
 			anchors = append(anchors, anchor{pt: ref.entry.Point(), s: ref.score})
 		}
 	}
-	prio := func(en rtree.Entry) float64 {
+	prio := func(en *rtree.Entry) float64 {
 		sum := 0.0
 		for _, a := range anchors {
 			var d float64
@@ -309,7 +309,7 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, e
 		return err
 	}
 	pq := e.scratchBoundHeap()
-	pq.push(boundItem{entry: root, bound: prio(root)})
+	pq.push(boundItem{entry: &root, bound: prio(&root)})
 	emitted := 0
 	kth := negInf // k-th best score emitted by this search (pops are non-increasing)
 	for pq.Len() > 0 {
@@ -333,7 +333,8 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, e
 		if err != nil {
 			return err
 		}
-		for _, c := range n.Entries {
+		for i := range n.Entries {
+			c := &n.Entries[i]
 			pq.push(boundItem{entry: c, bound: prio(c)})
 		}
 	}
@@ -507,9 +508,9 @@ func (e *Engine) comboRegion(comb combination, cache *queryCells, radii map[cell
 // the feature group, so a cell computed on a sharded engine is the cell
 // within the full (global) feature set — Voronoi cells ignore shard
 // borders by construction.
-func (e *Engine) voronoiCell(set int, site rtree.Entry) (geo.Polygon, error) {
+func (e *Engine) voronoiCell(set int, site *rtree.Entry) (geo.Polygon, error) {
 	b := voronoi.NewCellBuilder(site.Point(), geo.UnitSquare())
-	err := e.groupAscendDistance(e.features[set], site.Point(), func(_ int, en rtree.Entry, d float64) bool {
+	err := e.groupAscendDistance(e.features[set], site.Point(), func(_ int, en *rtree.Entry, d float64) bool {
 		if en.ItemID == site.ItemID {
 			return true
 		}

@@ -36,7 +36,9 @@ func hashSet(exact kwset.Set, bits int) kwset.Set {
 // keyword set (for final score computation) and the tree-side set — the
 // hashed signature in signature mode, the exact set otherwise. For
 // approximate queries it additionally carries the query's MinHash
-// signature and cardinality (the LSH side of the prepared query).
+// signature and cardinality (the LSH side of the prepared query). It
+// embeds the whole signature array, so the per-entry index methods take
+// it by pointer.
 type PreparedQuery struct {
 	Exact QueryKeywords
 	Tree  QueryKeywords
@@ -73,7 +75,7 @@ func (x *FeatureIndex) Exact() bool { return x.sigBits == 0 }
 // EntryRelevant reports whether the subtree below e may contain a feature
 // with positive textual similarity. In signature mode this test is sound
 // but admits false positives.
-func (x *FeatureIndex) EntryRelevant(e rtree.Entry, pq PreparedQuery) bool {
+func (x *FeatureIndex) EntryRelevant(e *rtree.Entry, pq *PreparedQuery) bool {
 	if pq.Exact.Set.IsEmpty() {
 		return false
 	}
@@ -86,9 +88,9 @@ func (x *FeatureIndex) EntryRelevant(e rtree.Entry, pq PreparedQuery) bool {
 // λ, because hashed signatures cannot bound the Jaccard similarity (two
 // query keywords colliding onto one bit would make a ratio-based "bound"
 // undercount true matches).
-func (x *FeatureIndex) EntryBound(e rtree.Entry, pq PreparedQuery) float64 {
+func (x *FeatureIndex) EntryBound(e *rtree.Entry, pq *PreparedQuery) float64 {
 	if x.sigBits == 0 {
-		return Bound(e, pq.Exact)
+		return Bound(*e, pq.Exact)
 	}
 	lambda := pq.Exact.Lambda
 	if !e.Keywords.Intersects(pq.Tree.Set) {
@@ -104,7 +106,7 @@ func (x *FeatureIndex) EntryBound(e rtree.Entry, pq PreparedQuery) float64 {
 // (pq.Approx non-nil) first run the LSH candidate filter, and in
 // signature mode with SkipVerify score candidates from the MinHash
 // similarity estimate instead of paying the verification read.
-func (x *FeatureIndex) ResolveLeaf(e rtree.Entry, pq PreparedQuery) (score float64, relevant bool, err error) {
+func (x *FeatureIndex) ResolveLeaf(e *rtree.Entry, pq *PreparedQuery) (score float64, relevant bool, err error) {
 	if pq.Approx != nil {
 		s, rel, err, handled := x.resolveLeafApprox(e, pq)
 		if handled || err != nil {
@@ -115,7 +117,7 @@ func (x *FeatureIndex) ResolveLeaf(e rtree.Entry, pq PreparedQuery) (score float
 		if !e.Keywords.Intersects(pq.Exact.Set) {
 			return 0, false, nil
 		}
-		return Score(e, pq.Exact), true, nil
+		return Score(*e, pq.Exact), true, nil
 	}
 	exact, err := x.records.get(e.ItemID)
 	if err != nil {
@@ -136,7 +138,7 @@ func (x *FeatureIndex) ResolveLeaf(e rtree.Entry, pq PreparedQuery) (score float
 // missing this id) or the request keeps verification (SkipVerify off in
 // signature mode). Fallbacks only ever widen the candidate set, so an
 // approximate answer degrades toward exactness, never away from it.
-func (x *FeatureIndex) resolveLeafApprox(e rtree.Entry, pq PreparedQuery) (score float64, relevant bool, err error, handled bool) {
+func (x *FeatureIndex) resolveLeafApprox(e *rtree.Entry, pq *PreparedQuery) (score float64, relevant bool, err error, handled bool) {
 	sk, err := x.sketchFor()
 	if err != nil {
 		return 0, false, err, true
@@ -161,7 +163,7 @@ func (x *FeatureIndex) resolveLeafApprox(e rtree.Entry, pq PreparedQuery) (score
 		if !e.Keywords.Intersects(pq.Exact.Set) {
 			return 0, false, nil, true
 		}
-		return Score(e, pq.Exact), true, nil, true
+		return Score(*e, pq.Exact), true, nil, true
 	}
 	if !a.Params.SkipVerify {
 		return 0, false, nil, false // verify candidates via the record file

@@ -40,7 +40,8 @@ func (t *Tree) Delete(id int64, loc geo.Point) (bool, error) {
 
 // deleteAt removes the item from the subtree at pid (depth d). It returns
 // whether the item was found, whether the node at pid is now empty, and
-// the refreshed aggregate entry for pid.
+// the refreshed aggregate entry for pid. Nodes are read shared and only
+// the ones on the path to the item are rewritten, from private copies.
 func (t *Tree) deleteAt(pid storage.PageID, d int, id int64, loc geo.Point) (found, empty bool, self Entry, err error) {
 	n, err := t.Node(pid)
 	if err != nil {
@@ -49,11 +50,7 @@ func (t *Tree) deleteAt(pid storage.PageID, d int, id int64, loc geo.Point) (fou
 	if d == t.height {
 		for i, e := range n.Entries {
 			if e.ItemID == id && e.Point() == loc {
-				n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
-				if err := t.updateNode(pid, n); err != nil {
-					return false, false, Entry{}, err
-				}
-				return true, len(n.Entries) == 0, t.entryAggregate(pid, n), nil
+				return t.rewrite(pid, n, i, nil)
 			}
 		}
 		return false, false, Entry{}, nil
@@ -70,14 +67,25 @@ func (t *Tree) deleteAt(pid storage.PageID, d int, id int64, loc geo.Point) (fou
 			continue
 		}
 		if childEmpty {
-			n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
-		} else {
-			n.Entries[i] = childSelf
+			return t.rewrite(pid, n, i, nil)
 		}
-		if err := t.updateNode(pid, n); err != nil {
-			return false, false, Entry{}, err
-		}
-		return true, len(n.Entries) == 0, t.entryAggregate(pid, n), nil
+		return t.rewrite(pid, n, i, &childSelf)
 	}
 	return false, false, Entry{}, nil
+}
+
+// rewrite stores a copy of n with entry i replaced by repl, or removed
+// when repl is nil, and returns deleteAt's results for the new node.
+func (t *Tree) rewrite(pid storage.PageID, n *Node, i int, repl *Entry) (found, empty bool, self Entry, err error) {
+	entries := make([]Entry, 0, len(n.Entries))
+	entries = append(entries, n.Entries[:i]...)
+	if repl != nil {
+		entries = append(entries, *repl)
+	}
+	entries = append(entries, n.Entries[i+1:]...)
+	nn := &Node{Leaf: n.Leaf, Entries: entries}
+	if err := t.updateNode(pid, nn); err != nil {
+		return false, false, Entry{}, err
+	}
+	return true, len(entries) == 0, t.entryAggregate(pid, nn), nil
 }

@@ -63,6 +63,9 @@ func (t *Tree) encodeNode(n *Node) ([]byte, error) {
 	return buf[:off], nil
 }
 
+// decodePage is the storage.Decoder of the tree's buffer pool.
+func (t *Tree) decodePage(data []byte) (any, error) { return t.decodeNode(data) }
+
 // decodeNode parses a page image into a Node.
 func (t *Tree) decodeNode(data []byte) (*Node, error) {
 	if len(data) < nodeHeaderSize {
@@ -80,11 +83,10 @@ func (t *Tree) decodeNode(data []byte) (*Node, error) {
 	n.Entries = make([]Entry, count)
 	off := nodeHeaderSize
 	words := kwWords(t.cfg.KeywordWidth)
-	// One keyword arena per node instead of one slice per entry: decode is
-	// the hottest allocation site in the whole read path (every page visit
-	// of every query), and entries outlive the pool's page buffer (they are
-	// retained in candidate heaps), so the bits must be copied out — but
-	// one bulk allocation suffices for all entries of the node.
+	// One keyword arena per node instead of one slice per entry: the
+	// decoded node outlives the page bytes (the pool keeps the node and
+	// drops the bytes), so the bits must be copied out — but one bulk
+	// allocation suffices for all entries of the node.
 	var arena []uint64
 	if words > 0 && count > 0 {
 		arena = make([]uint64, words*count)

@@ -222,27 +222,54 @@ func (t *Tree) LeafCapacity() int { return t.leafCap }
 // InnerCapacity returns the maximum number of entries in an internal node.
 func (t *Tree) InnerCapacity() int { return t.innerCap }
 
-// Node reads and decodes the node stored at page id. The decode cost is
-// CPU work on every visit, mirroring a real disk-based index. On a
-// WithExclude view, tombstoned leaf entries are dropped from the freshly
-// decoded node before it is returned.
+// Node returns the node stored at page id. The page is decoded once, on
+// the buffer-pool miss that brings it in, and the decoded node is cached
+// in the pool frame and shared by every later reader; each call still
+// charges one logical read (and a physical read on a miss), so the
+// paper's I/O metric is unchanged. The returned node is immutable: callers
+// must not modify it or its entries (Insert and Delete work on private
+// copies). On a WithExclude view, a leaf holding a tombstoned item is
+// returned as a filtered copy; the cached node stays complete.
 func (t *Tree) Node(id storage.PageID) (*Node, error) {
-	data, err := t.pool.Get(id)
+	v, err := t.pool.GetDecoded(id, t.decodePage)
 	if err != nil {
 		return nil, err
 	}
-	n, err := t.decodeNode(data)
-	if err != nil || len(t.exclude) == 0 || !n.Leaf {
-		return n, err
+	n := v.(*Node)
+	if len(t.exclude) == 0 || !n.Leaf {
+		return n, nil
 	}
-	kept := n.Entries[:0]
-	for _, e := range n.Entries {
-		if _, dead := t.exclude[e.ItemID]; !dead {
+	for i := range n.Entries {
+		if _, dead := t.exclude[n.Entries[i].ItemID]; dead {
+			return n.without(t.exclude, i), nil
+		}
+	}
+	return n, nil
+}
+
+// without returns a copy of the leaf n minus the entries whose item ids
+// are in dead; first is the index of the first such entry.
+func (n *Node) without(dead map[int64]struct{}, first int) *Node {
+	kept := make([]Entry, first, len(n.Entries)-1)
+	copy(kept, n.Entries[:first])
+	for _, e := range n.Entries[first+1:] {
+		if _, gone := dead[e.ItemID]; !gone {
 			kept = append(kept, e)
 		}
 	}
-	n.Entries = kept
-	return n, nil
+	return &Node{Leaf: n.Leaf, Entries: kept}
+}
+
+// mutableNode returns a private copy of the node at page id for Insert to
+// edit: the cached node is shared with readers and must not change.
+// Entries are copied shallowly — mutations replace whole entries and
+// never write into an entry's keyword bits.
+func (t *Tree) mutableNode(id storage.PageID) (*Node, error) {
+	n, err := t.Node(id)
+	if err != nil {
+		return nil, err
+	}
+	return &Node{Leaf: n.Leaf, Entries: append([]Entry(nil), n.Entries...)}, nil
 }
 
 // RootEntry returns a synthetic internal entry describing the whole tree:

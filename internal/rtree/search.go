@@ -175,7 +175,8 @@ func (t *Tree) All() ([]Entry, error) {
 // Leaves visits each leaf node's entries as one batch — the unit the
 // batched STDS score computation processes together (paper Section 5,
 // "Performance improvements"). Leaf batches are spatially coherent, which
-// is what makes batching effective.
+// is what makes batching effective. The batch is the cached node's own
+// entry slice: fn may keep pointers into it but must not modify it.
 func (t *Tree) Leaves(fn func([]Entry) bool) error {
 	stack := []storagePage{t.root}
 	for len(stack) > 0 {

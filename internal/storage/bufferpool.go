@@ -15,7 +15,9 @@ import (
 //
 // The pool is intentionally simple: pages are read-mostly once an index is
 // built, so there is no dirty-page write-back path — WriteThrough stores
-// pages synchronously. The read path (Get) is safe for concurrent use and
+// pages synchronously. A frame caches either the page bytes (Get) or the
+// caller's decoded, immutable form of the page (GetDecoded); both paths
+// count reads identically. The read paths are safe for concurrent use and
 // the lifetime counters are atomics, so any number of query goroutines may
 // share one pool. Writes (WriteThrough) must not race reads — they only
 // happen while an index is being built or mutated, which the layers above
@@ -93,10 +95,19 @@ func NewPoolMetrics(r *obs.Registry, pool string) *PoolMetrics {
 // SetMetrics attaches (or, with nil, detaches) aggregate metrics.
 func (b *BufferPool) SetMetrics(m *PoolMetrics) { b.s.metrics.Store(m) }
 
+// frame is one cached page. A page read through Get keeps its bytes in
+// data; a page read through GetDecoded keeps only the decoded value in
+// node once decoding finishes (data is dropped then), so a pool that
+// serves decoded nodes holds at most capacity decoded values.
 type frame struct {
 	id   PageID
 	data []byte
+	node any
 }
+
+// Decoder turns a page image into the immutable in-memory value a pool
+// caches for GetDecoded. It must not retain data.
+type Decoder func(data []byte) (any, error)
 
 // NewBufferPool wraps disk with an LRU cache of capacity pages behind a
 // single stripe: one mutex, one global LRU order — the exact semantics of
@@ -186,6 +197,59 @@ func (b *BufferPool) Len() int {
 // pool and must not be modified or retained across further pool calls;
 // callers decode it into their own node representation immediately.
 func (b *BufferPool) Get(id PageID) ([]byte, error) {
+	_, _, data, err := b.fetch(id)
+	if err != nil {
+		return nil, err
+	}
+	if data == nil {
+		// The frame keeps only a decoded value. The page is resident, so
+		// this stays a hit; re-read the bytes without charging I/O.
+		data = make([]byte, b.s.disk.PageSize())
+		if err := b.s.disk.ReadPage(id, data); err != nil {
+			return nil, fmt.Errorf("bufferpool: %w", err)
+		}
+	}
+	return data, nil
+}
+
+// GetDecoded returns the decoded form of the page, decoding it with
+// decode on the first access and sharing the cached value on every later
+// hit. Reads are charged exactly as Get charges them — one logical read
+// per call, one physical read per miss, the same evictions and Session
+// counts — so the paper's I/O metric does not depend on whether a caller
+// caches bytes or decoded nodes. The returned value is shared by every
+// reader of the page and must be treated as immutable.
+//
+// A miss reads the page under the stripe lock, as Get does, so concurrent
+// misses on one page coalesce into one physical read; decoding runs
+// outside the lock. A reader that hits the frame before the first decode
+// is published decodes the bytes itself (CPU only, no extra I/O) and the
+// first published value wins.
+func (b *BufferPool) GetDecoded(id PageID, decode Decoder) (any, error) {
+	f, node, data, err := b.fetch(id)
+	if err != nil || node != nil {
+		return node, err
+	}
+	node, err = decode(data)
+	if err != nil {
+		return nil, err
+	}
+	st := b.s.stripe(id)
+	st.mu.Lock()
+	if f.node == nil {
+		f.node, f.data = node, nil
+	} else {
+		node = f.node
+	}
+	st.mu.Unlock()
+	return node, nil
+}
+
+// fetch does the accounting and LRU work shared by Get and GetDecoded
+// and returns the page's frame with its node and bytes as read under the
+// stripe lock. A capacity-0 pool returns a fresh, uncached frame on every
+// call.
+func (b *BufferPool) fetch(id PageID) (f *frame, node any, data []byte, err error) {
 	s := b.s
 	s.logical.Add(1)
 	if b.local != nil {
@@ -195,12 +259,13 @@ func (b *BufferPool) Get(id PageID) ([]byte, error) {
 	st.mu.Lock()
 	if el, ok := st.entries[id]; ok {
 		st.lru.MoveToFront(el)
-		data := el.Value.(*frame).data
+		f = el.Value.(*frame)
+		node, data = f.node, f.data
 		st.mu.Unlock()
 		if m := s.metrics.Load(); m != nil {
 			m.Hits.Inc()
 		}
-		return data, nil
+		return f, node, data, nil
 	}
 	// Miss: the disk read happens under the stripe lock, so concurrent
 	// misses on the same page coalesce into one physical read — the
@@ -210,17 +275,18 @@ func (b *BufferPool) Get(id PageID) ([]byte, error) {
 	if b.local != nil {
 		b.local.PhysicalReads++
 	}
-	data := make([]byte, s.disk.PageSize())
+	data = make([]byte, s.disk.PageSize())
 	if err := s.disk.ReadPage(id, data); err != nil {
 		st.mu.Unlock()
-		return nil, fmt.Errorf("bufferpool: %w", err)
+		return nil, nil, nil, fmt.Errorf("bufferpool: %w", err)
 	}
-	b.insertLocked(st, id, data)
+	f = &frame{id: id, data: data}
+	b.insertLocked(st, f)
 	st.mu.Unlock()
 	if m := s.metrics.Load(); m != nil {
 		m.Misses.Inc()
 	}
-	return data, nil
+	return f, nil, data, nil
 }
 
 // WriteThrough writes the page to disk and refreshes the cached copy.
@@ -240,11 +306,17 @@ func (b *BufferPool) WriteThrough(id PageID, data []byte) error {
 		return fmt.Errorf("bufferpool: %w", err)
 	}
 	if el, ok := st.entries[id]; ok {
+		// Refresh the bytes and drop any decoded node: the next
+		// GetDecoded decodes the new image.
 		f := el.Value.(*frame)
+		if f.data == nil {
+			f.data = make([]byte, s.disk.PageSize())
+		}
 		copy(f.data, data)
 		for i := len(data); i < len(f.data); i++ {
 			f.data[i] = 0
 		}
+		f.node = nil
 		st.lru.MoveToFront(el)
 	}
 	return nil
@@ -252,7 +324,7 @@ func (b *BufferPool) WriteThrough(id PageID, data []byte) error {
 
 // insertLocked caches the page in its stripe, evicting the stripe's least
 // recently used page if the stripe is full. Callers hold st.mu.
-func (b *BufferPool) insertLocked(st *poolStripe, id PageID, data []byte) {
+func (b *BufferPool) insertLocked(st *poolStripe, f *frame) {
 	s := b.s
 	if st.capacity == 0 {
 		return
@@ -271,7 +343,7 @@ func (b *BufferPool) insertLocked(st *poolStripe, id PageID, data []byte) {
 			}
 		}
 	}
-	st.entries[id] = st.lru.PushFront(&frame{id: id, data: data})
+	st.entries[f.id] = st.lru.PushFront(f)
 }
 
 // Contains reports whether the page is currently cached (for tests).
