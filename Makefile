@@ -47,10 +47,12 @@ bench-smoke:
 # (`... BENCH_OUT=new.txt`), then benchstat compares them — install with
 # `go install golang.org/x/perf/cmd/benchstat@latest`. Without benchstat
 # the raw `go test -bench` output is still written for manual diffing.
+# BenchmarkTopKPendingDelta records the live-ingest read cost per pending
+# object (0 vs 160 unmerged object upserts).
 BENCH_OUT ?= bench-new.txt
 BENCH_BASE ?= bench-old.txt
 bench-compare:
-	$(GO) test -run NONE -bench 'BenchmarkFig7' -benchtime 10x -benchmem -count 5 . | tee $(BENCH_OUT)
+	$(GO) test -run NONE -bench 'BenchmarkFig7|BenchmarkTopKPendingDelta' -benchtime 10x -benchmem -count 5 . | tee $(BENCH_OUT)
 	@if command -v benchstat >/dev/null 2>&1; then \
 		if [ -f $(BENCH_BASE) ]; then \
 			benchstat $(BENCH_BASE) $(BENCH_OUT); \

@@ -10,6 +10,7 @@ package stpq
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -655,4 +656,76 @@ func BenchmarkConcurrentTopK(b *testing.B) {
 			})
 		}
 	})
+}
+
+// BenchmarkTopKPendingDelta prices the live-ingest read path per pending
+// object: STPS range queries through DB.TopK on a WAL-backed
+// 20k-object / 2×20k-feature synthetic DB with auto-flush disabled, with 0
+// and 160 object upserts pending in the delta. The difference between the
+// two sub-benchmarks divided by 160 is the per-pending-object slope.
+func BenchmarkTopKPendingDelta(b *testing.B) {
+	key := synKey(index.SRT)
+	ds := benchDataset(b, key)
+	setNames := make([]string, len(ds.FeatureSets))
+	for i := range setNames {
+		setNames[i] = fmt.Sprintf("set%d", i+1)
+	}
+	var qs []Query
+	for _, cq := range ds.GenQueries(benchQueries, qc(core.RangeScore)) {
+		kws := make(map[string][]string, len(setNames))
+		for i, s := range cq.Keywords {
+			s.ForEach(func(id int) { kws[setNames[i]] = append(kws[setNames[i]], fmt.Sprintf("kw%d", id)) })
+		}
+		qs = append(qs, Query{K: cq.K, Radius: cq.Radius, Lambda: cq.Lambda, Keywords: kws, Algorithm: STPS})
+	}
+	for _, pending := range []int{0, 160} {
+		db := pendingDeltaDB(b, ds, setNames, pending)
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := db.TopK(qs[i%len(qs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// pendingDeltaDB builds a WAL-backed DB over ds and applies pending object
+// upserts (fresh ids at seeded random locations), left unmerged.
+func pendingDeltaDB(b *testing.B, ds *datagen.Dataset, setNames []string, pending int) *DB {
+	b.Helper()
+	db := New(Config{WALDir: b.TempDir(), AutoFlushOps: -1})
+	b.Cleanup(func() { db.CloseWAL() })
+	objs := make([]Object, len(ds.Objects))
+	for i, o := range ds.Objects {
+		objs[i] = Object{ID: o.ID, X: o.Location.X, Y: o.Location.Y}
+	}
+	db.AddObjects(objs)
+	for i, fs := range ds.FeatureSets {
+		feats := make([]Feature, len(fs))
+		for j, f := range fs {
+			var kws []string
+			f.Keywords.ForEach(func(id int) { kws = append(kws, fmt.Sprintf("kw%d", id)) })
+			feats[j] = Feature{ID: f.ID, X: f.Location.X, Y: f.Location.Y, Score: f.Score, Keywords: kws}
+		}
+		db.AddFeatureSet(setNames[i], feats)
+	}
+	if err := db.Build(); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	muts := make([]Mutation, pending)
+	for i := range muts {
+		o := Object{ID: 1<<40 + int64(i), X: rng.Float64(), Y: rng.Float64()}
+		muts[i] = Mutation{Op: OpUpsertObject, Object: &o}
+	}
+	if err := db.Apply(muts); err != nil {
+		b.Fatal(err)
+	}
+	if db.PendingOps() != pending {
+		b.Fatalf("PendingOps = %d, want %d", db.PendingOps(), pending)
+	}
+	return db
 }

@@ -3,9 +3,10 @@ package main
 // ingest.go benchmarks the live write path (stpq.Apply over a WAL): a
 // read/write mix sweep on one synthetic DB, from read-only to
 // write-heavy. Each data point interleaves STPS range queries with small
-// durable mutation batches and reports both sides: query cost (the
-// overlay makes un-merged writes visible, so reads pay a delta scan) and
-// per-batch Apply latency (WAL append + fsync + delta publish). The
+// durable mutation batches and reports both sides: query cost (un-merged
+// writes are visible through small delta index parts that every query
+// searches beside the base indexes) and per-batch Apply latency (WAL
+// append + fsync + delta publish). The
 // ingest counters — applied mutations, auto-flush merges — land in the
 // record so the merge cadence behind each number is visible.
 //

@@ -65,57 +65,90 @@ func concQueries() []Query {
 // index kinds, all three variants and both algorithms, and requires every
 // concurrent result to be byte-identical to its sequential counterpart,
 // with per-query Stats still satisfying LogicalReads ≥ PhysicalReads > 0.
+// The /pending subtests run the same workload with unmerged ingest
+// mutations, so concurrent queries share the delta object and feature
+// parts.
 func TestConcurrentMatchesSequential(t *testing.T) {
 	const goroutines = 8
 	for _, kind := range []IndexKind{SRT, IR2} {
 		for _, alg := range []Algorithm{STPS, STDS} {
-			t.Run(fmt.Sprintf("kind=%d/alg=%d", kind, alg), func(t *testing.T) {
-				db := concDB(t, Config{IndexKind: kind, BufferPages: 64}, 400, 400)
-				qs := concQueries()
-				for i := range qs {
-					qs[i].Algorithm = alg
+			for _, pending := range []bool{false, true} {
+				name := fmt.Sprintf("kind=%d/alg=%d", kind, alg)
+				if pending {
+					name += "/pending"
 				}
-				want := make([][]Result, len(qs))
-				var err error
-				for i, q := range qs {
-					want[i], _, err = db.TopK(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				var wg sync.WaitGroup
-				for g := 0; g < goroutines; g++ {
-					wg.Add(1)
-					go func(g int) {
-						defer wg.Done()
-						for r := 0; r < 2*len(qs); r++ {
-							i := (g + r) % len(qs)
-							res, st, err := db.TopK(qs[i])
-							if err != nil {
-								t.Errorf("goroutine %d query %d: %v", g, i, err)
-								return
-							}
-							if !reflect.DeepEqual(res, want[i]) {
-								t.Errorf("goroutine %d query %d: concurrent results differ\n got %v\nwant %v",
-									g, i, res, want[i])
-								return
-							}
-							if st.LogicalReads <= 0 {
-								t.Errorf("goroutine %d query %d: logical reads %d, want > 0", g, i, st.LogicalReads)
-								return
-							}
-							if st.LogicalReads < st.PhysicalReads {
-								t.Errorf("goroutine %d query %d: logical %d < physical %d — interleaved accounting",
-									g, i, st.LogicalReads, st.PhysicalReads)
-								return
-							}
-						}
-					}(g)
-				}
-				wg.Wait()
-			})
+				t.Run(name, func(t *testing.T) {
+					testConcurrentMatchesSequential(t, kind, alg, pending, goroutines)
+				})
+			}
 		}
 	}
+}
+
+func testConcurrentMatchesSequential(t *testing.T, kind IndexKind, alg Algorithm, pending bool, goroutines int) {
+	cfg := Config{IndexKind: kind, BufferPages: 64}
+	if pending {
+		cfg.WALDir, cfg.AutoFlushOps = t.TempDir(), -1
+	}
+	db := concDB(t, cfg, 400, 400)
+	if pending {
+		rng := rand.New(rand.NewSource(8))
+		var muts []Mutation
+		for i := 0; i < 80; i++ {
+			o := Object{ID: int64(10_000 + i), X: rng.Float64(), Y: rng.Float64()}
+			muts = append(muts, Mutation{Op: OpUpsertObject, Object: &o})
+		}
+		for id := int64(1); id <= 20; id++ {
+			muts = append(muts, Mutation{Op: OpDeleteObject, ID: id})
+		}
+		f := Feature{ID: 50_000, X: 0.5, Y: 0.5, Score: 0.9, Keywords: []string{"kw1", "kw4"}}
+		muts = append(muts, Mutation{Op: OpUpsertFeature, Set: "cafes", Feature: &f})
+		if err := db.Apply(muts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qs := concQueries()
+	for i := range qs {
+		qs[i].Algorithm = alg
+	}
+	want := make([][]Result, len(qs))
+	var err error
+	for i, q := range qs {
+		want[i], _, err = db.TopK(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 2*len(qs); r++ {
+				i := (g + r) % len(qs)
+				res, st, err := db.TopK(qs[i])
+				if err != nil {
+					t.Errorf("goroutine %d query %d: %v", g, i, err)
+					return
+				}
+				if !reflect.DeepEqual(res, want[i]) {
+					t.Errorf("goroutine %d query %d: concurrent results differ\n got %v\nwant %v",
+						g, i, res, want[i])
+					return
+				}
+				if st.LogicalReads <= 0 {
+					t.Errorf("goroutine %d query %d: logical reads %d, want > 0", g, i, st.LogicalReads)
+					return
+				}
+				if st.LogicalReads < st.PhysicalReads {
+					t.Errorf("goroutine %d query %d: logical %d < physical %d — interleaved accounting",
+						g, i, st.LogicalReads, st.PhysicalReads)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestConcurrentStatsAttribution pins down the satellite requirement

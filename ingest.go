@@ -2,7 +2,7 @@ package stpq
 
 // ingest.go is the public live write path: DB.Apply appends a mutation
 // batch to a write-ahead log, applies it to an in-memory delta, and
-// publishes a two-source overlay engine (base + delta) whose answers are
+// publishes an engine over base + delta parts whose answers are
 // byte-identical to a from-scratch rebuild; DB.Flush merges the delta into
 // a new base generation; DB.Checkpoint makes the merged state durable and
 // trims the log; AttachWAL replays the log after a crash. The heavy
@@ -578,12 +578,13 @@ func (db *DB) ensureDeltaLocked() error {
 }
 
 // publishOverlayLocked builds and swaps in a new overlay generation over
-// the pending layers — sealed runs plus a snapshot of the active delta.
-// The base object tree is filtered by the union of every layer's
-// tombstones; each feature group stacks tombstone-filtered base parts,
-// then each layer's part filtered by the tombstones of newer layers only
-// (so a layer's own upserts stay visible); layer-resident objects merge at
-// query time. The generation bump invalidates serve-layer result caches
+// the pending layers — sealed runs plus a snapshot of the active delta —
+// as a plain engine over index parts. The base object tree is filtered by
+// the union of every layer's tombstones, and the folded layer-resident
+// objects are bulk-loaded into a second object part; each feature group
+// stacks tombstone-filtered base parts, then each layer's part filtered by
+// the tombstones of newer layers only (so a layer's own upserts stay
+// visible). The generation bump invalidates serve-layer result caches
 // exactly like a Rebuild.
 func (db *DB) publishOverlayLocked() error {
 	layers := make([]*ingest.Layer, 0, len(db.runs)+1)
@@ -609,7 +610,21 @@ func (db *DB) publishOverlayLocked() error {
 		return nil
 	}
 	deadObj := ingest.UnionDead(layers)
-	objView := db.base.Objects().WithExclude(deadObj)
+	objParts := []*index.ObjectIndex{db.base.Objects().WithExclude(deadObj)}
+	deltaObjs := ingest.FoldObjects(layers)
+	if len(deltaObjs) > 0 {
+		part, err := index.BuildResidentObjectIndex(deltaObjs, index.Options{PageSize: db.cfg.PageSize})
+		if err != nil {
+			return fmt.Errorf("stpq: indexing delta objects: %w", err)
+		}
+		objParts = append(objParts, part)
+	}
+	live := len(db.objLoc) + len(deltaObjs)
+	for id := range deadObj {
+		if _, ok := db.objLoc[id]; ok {
+			live--
+		}
+	}
 	groups := make([]*index.FeatureGroup, len(db.setNames))
 	for i := range db.setNames {
 		deadAll := ingest.UnionDeadSet(layers, i)
@@ -630,19 +645,11 @@ func (db *DB) publishOverlayLocked() error {
 		}
 		groups[i] = g
 	}
-	eng, err := core.NewEngineWithGroups(objView, groups, db.cfg.coreOptions(db.metrics, db.tel))
+	eng, err := core.NewEngineWithParts(objParts, live, groups, db.cfg.coreOptions(db.metrics, db.tel))
 	if err != nil {
 		return err
 	}
-	deltaObjs := ingest.FoldObjects(layers)
-	live := len(db.objLoc) + len(deltaObjs)
-	for id := range deadObj {
-		if _, ok := db.objLoc[id]; ok {
-			live--
-		}
-	}
-	overlay := ingest.NewOverlay(eng, deltaObjs, live)
-	db.engine = overlay
+	db.engine = eng
 	pending := 0
 	for _, r := range db.runs {
 		pending += r.Ops
@@ -650,7 +657,7 @@ func (db *DB) publishOverlayLocked() error {
 	if db.delta != nil {
 		pending += db.delta.Ops()
 	}
-	db.metrics.Gauge("stpq_ingest_delta_objects").Set(float64(overlay.DeltaObjects()))
+	db.metrics.Gauge("stpq_ingest_delta_objects").Set(float64(len(deltaObjs)))
 	db.metrics.Gauge("stpq_ingest_delta_ops").Set(float64(pending))
 	db.gen++
 	db.inverted = nil

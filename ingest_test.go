@@ -13,6 +13,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"stpq/internal/core"
 )
 
 // ingestWords is the closed keyword pool of the equivalence tests. The
@@ -177,13 +179,15 @@ func randomKey[V any](rng *rand.Rand, m map[int64]V) (int64, bool) {
 }
 
 // assertSameTopK compares two DBs over both algorithms and all three
-// variants, requiring bitwise-equal scores and identical id order.
-func assertSameTopK(t *testing.T, tag string, live, oracle *DB, rng *rand.Rand) {
+// variants, requiring bitwise-equal scores and identical id order. It
+// returns the live answers, algorithm-major in the order compared.
+func assertSameTopK(t *testing.T, tag string, live, oracle *DB, rng *rand.Rand) [][]Result {
 	t.Helper()
 	kws := map[string][]string{
 		"food":  {ingestWords[rng.Intn(len(ingestWords))], ingestWords[rng.Intn(len(ingestWords))]},
 		"cafes": {ingestWords[rng.Intn(len(ingestWords))]},
 	}
+	var answers [][]Result
 	for _, alg := range []Algorithm{STPS, STDS} {
 		for _, v := range []Variant{Range, Influence, NearestNeighbor} {
 			q := Query{K: 10, Radius: 0.08, Lambda: 0.5, Keywords: kws,
@@ -207,8 +211,10 @@ func assertSameTopK(t *testing.T, tag string, live, oracle *DB, rng *rand.Rand) 
 						tag, alg, v, i, got[i], want[i])
 				}
 			}
+			answers = append(answers, got)
 		}
 	}
+	return answers
 }
 
 // buildIngestDB builds a live DB with a WAL from the seed data.
@@ -226,8 +232,12 @@ func buildIngestDB(t *testing.T, cfg Config, objs []Object, sets map[string][]Fe
 }
 
 // TestApplyOracleEquivalence is the acceptance gate of the ingest
-// subsystem: after every randomized batch the overlay's answers are
-// byte-identical to a from-scratch rebuild, for both index kinds.
+// subsystem: after every randomized batch the answers of the published
+// base + delta engine are byte-identical to a from-scratch rebuild, for
+// both index kinds. It is not vacuous — every algorithm × variant ranks a
+// delta-resident object at least once — and a final round of 120 pending
+// object upserts gives the delta object part more than one level and
+// checks that its page reads are charged to the query's Stats.
 func TestApplyOracleEquivalence(t *testing.T) {
 	for _, kind := range []IndexKind{SRT, IR2} {
 		t.Run(fmt.Sprintf("kind=%d", kind), func(t *testing.T) {
@@ -237,16 +247,51 @@ func TestApplyOracleEquivalence(t *testing.T) {
 				AutoFlushOps: -1} // equivalence of the pure overlay first
 			db := buildIngestDB(t, cfg, objs, sets)
 			shadow := newIngestShadow(objs, sets)
-			for round := 0; round < 6; round++ {
-				muts := randomMutations(rng, shadow, 15)
+			pendingObjs := map[int64]bool{} // ids living in the delta object part
+			var rankedDelta []bool          // per compared answer: ranked a delta object
+			apply := func(round int, muts []Mutation) {
+				t.Helper()
 				if err := db.Apply(muts); err != nil {
 					t.Fatalf("round %d: Apply: %v", round, err)
 				}
 				for _, m := range muts {
 					shadow.apply(m)
+					switch m.Op {
+					case OpUpsertObject:
+						pendingObjs[m.Object.ID] = true
+					case OpDeleteObject:
+						delete(pendingObjs, m.ID)
+					}
 				}
-				oracle := shadow.oracle(t, cfg)
-				assertSameTopK(t, fmt.Sprintf("round %d", round), db, oracle, rng)
+			}
+			compare := func(round int) {
+				t.Helper()
+				answers := assertSameTopK(t, fmt.Sprintf("round %d", round), db, shadow.oracle(t, cfg), rng)
+				if rankedDelta == nil {
+					rankedDelta = make([]bool, len(answers))
+				}
+				for i, res := range answers {
+					for _, r := range res {
+						rankedDelta[i] = rankedDelta[i] || pendingObjs[r.ID]
+					}
+				}
+			}
+			for round := 0; round < 6; round++ {
+				apply(round, randomMutations(rng, shadow, 15))
+				compare(round)
+			}
+			bulk := make([]Mutation, 120)
+			for i := range bulk {
+				o := Object{ID: int64(1000 + i), X: rng.Float64(), Y: rng.Float64()}
+				bulk[i] = Mutation{Op: OpUpsertObject, Object: &o}
+			}
+			apply(6, bulk)
+			assertDeltaPartCharged(t, db) // first query of the new generation
+			compare(6)
+			for i, ok := range rankedDelta {
+				if !ok {
+					t.Errorf("answer %d (algorithm-major) never ranked a delta-resident object", i)
+				}
 			}
 			if db.PendingOps() == 0 {
 				t.Fatal("expected unmerged delta with auto-flush disabled")
@@ -261,6 +306,54 @@ func TestApplyOracleEquivalence(t *testing.T) {
 			oracle := shadow.oracle(t, cfg)
 			assertSameTopK(t, "after flush", db, oracle, rng)
 		})
+	}
+}
+
+// assertDeltaPartCharged checks the published engine's delta object part:
+// it has more than one level, its pages are served from its resident
+// pool, and a query's Stats.LogicalReads equals the page reads of every
+// pool the engine owns, the delta part's included.
+func assertDeltaPartCharged(t *testing.T, db *DB) {
+	t.Helper()
+	db.mu.RLock()
+	eng, ok := db.engine.(*core.Engine)
+	db.mu.RUnlock()
+	if !ok {
+		t.Fatalf("published engine is %T, want *core.Engine", db.engine)
+	}
+	parts := eng.ObjectParts()
+	if len(parts) != 2 {
+		t.Fatalf("%d object parts, want base + delta", len(parts))
+	}
+	delta := parts[1]
+	if h := delta.Tree().Height(); h < 2 {
+		t.Fatalf("delta object part height %d, want ≥ 2", h)
+	}
+	poolReads := func() int64 {
+		var n int64
+		for _, p := range parts {
+			n += p.Stats().LogicalReads
+		}
+		for _, g := range eng.FeatureGroups() {
+			n += g.Stats().LogicalReads
+		}
+		return n
+	}
+	deltaBefore, allBefore := delta.Stats(), poolReads()
+	_, st, err := db.TopK(Query{K: 10, Radius: 0.08, Lambda: 0.5, Algorithm: STDS,
+		Keywords: map[string][]string{"food": {"pizza"}, "cafes": {"tea"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltaRead := delta.Stats().Sub(deltaBefore)
+	if deltaRead.LogicalReads == 0 {
+		t.Fatal("STDS query read no page of the delta object part")
+	}
+	if deltaRead.PhysicalReads != 0 {
+		t.Fatalf("delta object part served %d physical reads, want 0 (resident pool)", deltaRead.PhysicalReads)
+	}
+	if all := poolReads() - allBefore; st.LogicalReads != all {
+		t.Fatalf("Stats.LogicalReads = %d, the engine's pools served %d", st.LogicalReads, all)
 	}
 }
 

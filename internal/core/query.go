@@ -333,9 +333,17 @@ func (o Options) withDefaults() Options {
 // page reads are charged to a per-query accumulator, while the underlying
 // buffer pools (shared page caches) are internally synchronized.
 type Engine struct {
-	objects  *index.ObjectIndex
-	features []*index.FeatureGroup
-	opts     Options
+	// objects are the data-object parts: object trees over disjoint ids
+	// that every object search visits together — the object-side analogue
+	// of a feature group's parts. Built and merged engines have one part;
+	// live ingest publishes the tombstone-filtered base tree plus a small
+	// delta part.
+	objects []*index.ObjectIndex
+	// numObjects is the live object count across the parts (a
+	// tombstone-filtered part's Len still counts its hidden items).
+	numObjects int
+	features   []*index.FeatureGroup
+	opts       Options
 	// trace is the tracing toggle, shared by all sessions so SetTrace
 	// takes effect for queries already in flight elsewhere.
 	trace *atomic.Bool
@@ -391,13 +399,23 @@ func (e *Engine) session() *Engine {
 	acct := &storage.Stats{}
 	s := *e
 	s.reads = acct
-	s.objects = e.objects.Session(acct)
+	s.objects = objectSessions(e.objects, acct)
 	feats := make([]*index.FeatureGroup, len(e.features))
 	for i, f := range e.features {
 		feats[i] = f.Session(acct)
 	}
 	s.features = feats
 	return &s
+}
+
+// objectSessions returns per-query views of the object parts, every page
+// access charged to acct.
+func objectSessions(parts []*index.ObjectIndex, acct *storage.Stats) []*index.ObjectIndex {
+	out := make([]*index.ObjectIndex, len(parts))
+	for i, p := range parts {
+		out[i] = p.Session(acct)
+	}
+	return out
 }
 
 // NewEngine creates an engine over plain feature indexes, each becoming a
@@ -426,6 +444,24 @@ func NewEngineWithGroups(objects *index.ObjectIndex, features []*index.FeatureGr
 	if objects == nil {
 		return nil, errors.New("core: nil object index")
 	}
+	return NewEngineWithParts([]*index.ObjectIndex{objects}, objects.Len(), features, opts)
+}
+
+// NewEngineWithParts creates an engine whose data objects are a forest of
+// object-index parts with disjoint ids (used by live ingest: the
+// tombstone-filtered base tree plus a bulk-loaded delta part). Every object
+// search seeds its traversal with every part, so answers equal those of one
+// tree over the union. numObjects is the live object count across the
+// parts.
+func NewEngineWithParts(objects []*index.ObjectIndex, numObjects int, features []*index.FeatureGroup, opts Options) (*Engine, error) {
+	if len(objects) == 0 {
+		return nil, errors.New("core: at least one object index required")
+	}
+	for i, o := range objects {
+		if o == nil {
+			return nil, fmt.Errorf("core: object index %d is nil", i)
+		}
+	}
 	if len(features) == 0 {
 		return nil, errors.New("core: at least one feature group required")
 	}
@@ -434,7 +470,7 @@ func NewEngineWithGroups(objects *index.ObjectIndex, features []*index.FeatureGr
 			return nil, fmt.Errorf("core: feature group %d is nil", i)
 		}
 	}
-	e := &Engine{objects: objects, features: features, opts: opts.withDefaults(), trace: &atomic.Bool{}}
+	e := &Engine{objects: objects, numObjects: numObjects, features: features, opts: opts.withDefaults(), trace: &atomic.Bool{}}
 	e.trace.Store(e.opts.Trace)
 	if e.opts.CacheVoronoiCells {
 		e.cells = &cellCache{m: make(map[cellKey]geo.Polygon)}
@@ -473,11 +509,15 @@ func (e *Engine) PrecomputeVoronoiCells() error {
 	return nil
 }
 
-// Objects returns the engine's data-object index.
-func (e *Engine) Objects() *index.ObjectIndex { return e.objects }
+// Objects returns the engine's first object part: the whole data-object
+// index of a built or merged engine, the base tree of a live-ingest one.
+func (e *Engine) Objects() *index.ObjectIndex { return e.objects[0] }
 
-// NumObjects returns the number of indexed data objects.
-func (e *Engine) NumObjects() int { return e.objects.Len() }
+// ObjectParts returns every object part, base first.
+func (e *Engine) ObjectParts() []*index.ObjectIndex { return e.objects }
+
+// NumObjects returns the number of live data objects.
+func (e *Engine) NumObjects() int { return e.numObjects }
 
 // FeatureGroups returns the engine's feature sets as groups of index parts
 // (single-part groups on an unsharded engine).
@@ -496,7 +536,9 @@ func (e *Engine) snapshotReads() storage.Stats {
 		return *e.reads
 	}
 	var s storage.Stats
-	s.Add(e.objects.Stats())
+	for _, o := range e.objects {
+		s.Add(o.Stats())
+	}
 	for _, f := range e.features {
 		s.Add(f.Stats())
 	}
@@ -753,18 +795,26 @@ func (e *Engine) UpperBound(q Query, rect geo.Rect) (float64, error) {
 }
 
 // UpperBoundAll returns UpperBound evaluated over the MBR of the engine's
-// own data objects — the admissible whole-engine bound a cluster node
-// reports to the coordinator's scatter probe. An engine whose object tree
-// is empty bounds at 0: it cannot contribute any result.
+// own data objects (the union of the object-part roots) — the admissible
+// whole-engine bound a cluster node reports to the coordinator's scatter
+// probe. An engine without data objects bounds at 0: it cannot contribute
+// any result.
 func (e *Engine) UpperBoundAll(q Query) (float64, error) {
-	root, err := e.objects.Tree().RootEntry()
-	if err != nil {
-		return 0, err
+	rect := geo.EmptyRect()
+	for _, part := range e.objects {
+		if part.Len() == 0 {
+			continue
+		}
+		root, err := part.Tree().RootEntry()
+		if err != nil {
+			return 0, err
+		}
+		rect = rect.Union(root.Rect)
 	}
-	if root.Rect.IsEmpty() {
+	if rect.IsEmpty() {
 		return 0, nil
 	}
-	return e.UpperBound(q, root.Rect)
+	return e.UpperBound(q, rect)
 }
 
 // virtualScore is the score of the virtual feature ∅ (paper Section 6.1).

@@ -67,7 +67,7 @@ func newQueryScratch(root *Engine) *queryScratch {
 	s.reads = &sc.acct
 	s.scratches = nil // sessions never pool themselves
 	s.scratch = sc
-	s.objects = root.objects.Session(&sc.acct)
+	s.objects = objectSessions(root.objects, &sc.acct)
 	feats := make([]*index.FeatureGroup, len(root.features))
 	for i, f := range root.features {
 		feats[i] = f.Session(&sc.acct)

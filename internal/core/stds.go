@@ -120,7 +120,7 @@ func (e *Engine) stdsSingle(q *Query, stats *Stats, tr *obs.Trace) ([]Result, er
 	acc := e.newTopk(q.K)
 	c := len(e.features)
 	sp := tr.StartPhase("objects.scan")
-	objs, err := e.objects.Tree().All()
+	objs, err := e.allObjects()
 	sp.End()
 	if err != nil {
 		return nil, err

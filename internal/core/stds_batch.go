@@ -18,7 +18,7 @@ func (e *Engine) stdsBatch(q *Query, stats *Stats, tr *obs.Trace) ([]Result, err
 	acc := e.newTopk(q.K)
 	c := len(e.features)
 	var walkErr error
-	err := e.objects.Tree().Leaves(func(batch []rtree.Entry) bool {
+	scoreLeaf := func(batch []rtree.Entry) bool {
 		objs := e.scratchBatch(len(batch))
 		for i := range batch {
 			objs[i].entry = &batch[i]
@@ -53,12 +53,17 @@ func (e *Engine) stdsBatch(q *Query, stats *Stats, tr *obs.Trace) ([]Result, err
 			acc.offer(Result{ID: o.entry.ItemID, Location: o.entry.Point(), Score: o.sum})
 		}
 		return true
-	})
-	if err != nil {
-		return nil, err
 	}
-	if walkErr != nil {
-		return nil, walkErr
+	for _, part := range e.objects {
+		if part.Len() == 0 {
+			continue
+		}
+		if err := part.Tree().Leaves(scoreLeaf); err != nil {
+			return nil, err
+		}
+		if walkErr != nil {
+			return nil, walkErr
+		}
 	}
 	return acc.results(), nil
 }

@@ -100,9 +100,10 @@ func (e *Engine) stpsRange(q *Query, stats *Stats, tr *obs.Trace) ([]Result, err
 }
 
 // objectsMatchingRangeCombo visits data objects within distance r of every
-// concrete feature of the combination (getDataObjects, Section 6.4).
-// Subtrees are pruned as soon as one feature is farther than r from the
-// node MBR.
+// concrete feature of the combination (getDataObjects, Section 6.4), in
+// every object part; fn must return true (the caller dedups and never
+// stops early). Subtrees are pruned as soon as one feature is farther than
+// r from the node MBR.
 func (e *Engine) objectsMatchingRangeCombo(comb combination, r float64, fn func(rtree.Entry) bool) error {
 	anchors := make([]geo.Point, 0, len(comb.refs))
 	for _, ref := range comb.refs {
@@ -110,7 +111,7 @@ func (e *Engine) objectsMatchingRangeCombo(comb combination, r float64, fn func(
 			anchors = append(anchors, ref.entry.Point())
 		}
 	}
-	return e.objects.Tree().SearchFiltered(func(en rtree.Entry) bool {
+	accept := func(en rtree.Entry) bool {
 		if en.Leaf {
 			p := en.Point()
 			for _, a := range anchors {
@@ -126,7 +127,16 @@ func (e *Engine) objectsMatchingRangeCombo(comb combination, r float64, fn func(
 			}
 		}
 		return true
-	}, fn)
+	}
+	for _, part := range e.objects {
+		if part.Len() == 0 {
+			continue
+		}
+		if err := part.Tree().SearchFiltered(accept, fn); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // stpsInfluence is Algorithm 5. Combinations arrive in non-increasing
@@ -275,7 +285,9 @@ func comboInfluenceBound(comb combination, r float64) float64 {
 // topKInfluence runs a best-first top-k search on the object R-tree where
 // an object's priority is its influence score under this combination,
 // Σ_i s(t_i)·2^(−dist(p,t_i)/r), and a node's priority (using MINDIST)
-// upper-bounds every object below. The search stops when the max remaining
+// upper-bounds every object below. Every object part's root seeds the one
+// heap, so objects pop in the same non-increasing priority order as from a
+// single tree over the union. The search stops when the max remaining
 // bound falls strictly below the accumulator's (re-read, hence tightening)
 // threshold, or strictly below the k-th score emitted by this search —
 // either way at least k objects with strictly better scores are already
@@ -304,12 +316,17 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, e
 		}
 		return sum
 	}
-	root, err := e.objects.Tree().RootEntry()
-	if err != nil {
-		return err
-	}
 	pq := e.scratchBoundHeap()
-	pq.push(boundItem{entry: &root, bound: prio(&root)})
+	for pi, part := range e.objects {
+		if part.Len() == 0 {
+			continue
+		}
+		root, err := part.Tree().RootEntry()
+		if err != nil {
+			return err
+		}
+		pq.push(boundItem{entry: &root, part: pi, bound: prio(&root)})
+	}
 	emitted := 0
 	kth := negInf // k-th best score emitted by this search (pops are non-increasing)
 	for pq.Len() > 0 {
@@ -329,13 +346,13 @@ func (e *Engine) topKInfluence(comb combination, q *Query, acc *influenceTopK, e
 			}
 			continue
 		}
-		n, err := e.objects.Tree().Node(it.entry.Child)
+		n, err := e.objects[it.part].Tree().Node(it.entry.Child)
 		if err != nil {
 			return err
 		}
 		for i := range n.Entries {
 			c := &n.Entries[i]
-			pq.push(boundItem{entry: c, bound: prio(c)})
+			pq.push(boundItem{entry: c, part: it.part, bound: prio(c)})
 		}
 	}
 	return nil
@@ -383,8 +400,7 @@ func (e *Engine) stpsNearestNeighbor(q *Query, stats *Stats, tr *obs.Trace) ([]R
 		if region.IsEmpty() {
 			continue
 		}
-		sp = tr.StartPhase("objects.retrieve")
-		err = e.objects.Tree().SearchPolygon(region, func(entry rtree.Entry) bool {
+		take := func(entry rtree.Entry) bool {
 			if seen[entry.ItemID] {
 				return true
 			}
@@ -392,7 +408,16 @@ func (e *Engine) stpsNearestNeighbor(q *Query, stats *Stats, tr *obs.Trace) ([]R
 			stats.ObjectsScored++
 			acc.offer(Result{ID: entry.ItemID, Location: entry.Point(), Score: comb.score})
 			return true
-		})
+		}
+		sp = tr.StartPhase("objects.retrieve")
+		for _, part := range e.objects {
+			if part.Len() == 0 {
+				continue
+			}
+			if err = part.Tree().SearchPolygon(region, take); err != nil {
+				break
+			}
+		}
 		sp.End()
 		if err != nil {
 			return nil, err

@@ -402,6 +402,31 @@ func BuildObjectIndex(objects []Object, opts Options) (*ObjectIndex, error) {
 	return &ObjectIndex{tree: tree}, nil
 }
 
+// BuildResidentObjectIndex bulk-loads the data objects like
+// BuildObjectIndex into a buffer pool sized to the tree's page count
+// (opts.BufferPages and opts.PoolStripes are ignored) and reads every page
+// once, so the index — just built in memory — is served from the pool
+// without evictions or physical reads, whatever the configured pool size.
+// A single stripe keeps the exact fit: per-stripe capacities would evict
+// under uneven page hashing.
+func BuildResidentObjectIndex(objects []Object, opts Options) (*ObjectIndex, error) {
+	x, err := BuildObjectIndex(objects, opts)
+	if err != nil {
+		return nil, err
+	}
+	cfg := x.tree.Config()
+	cfg.BufferPages = cfg.Disk.NumPages()
+	cfg.PoolStripes = 1
+	tree, err := rtree.Open(cfg, x.tree.Meta())
+	if err != nil {
+		return nil, err
+	}
+	if _, err := tree.All(); err != nil {
+		return nil, err
+	}
+	return &ObjectIndex{tree: tree}, nil
+}
+
 // Insert adds one data object incrementally.
 func (x *ObjectIndex) Insert(o Object) error {
 	return x.tree.Insert(rtree.Item{ID: o.ID, Location: o.Location})

@@ -8,15 +8,17 @@ import (
 )
 
 // Delta is the in-memory layer that absorbs mutations between merges. Data
-// objects live in plain maps (queries score them by brute force — the
-// delta is small by construction, bounded by the auto-flush threshold).
-// Feature upserts are additionally routed through a real per-set
-// FeatureIndex via rtree.Insert, so every live feature insert exercises
-// the paper's decode→OR→encode node-update rule on its way in.
+// objects live in plain maps; each publish bulk-loads the folded objects
+// of every pending layer (FoldObjects) into one object part that queries
+// search beside the base object tree. Feature upserts are
+// additionally routed through a real per-set FeatureIndex via
+// rtree.Insert, so every live feature insert exercises the paper's
+// decode→OR→encode node-update rule on its way in.
 //
 // Ids referring to the base generation are never mutated in place: the
-// delta records them as tombstones and the overlay hides them, so the base
-// indexes stay immutable and snapshot isolation is free.
+// delta records them as tombstones and the published engine's base views
+// hide them, so the base indexes stay immutable and snapshot isolation is
+// free.
 type Delta struct {
 	opts index.Options
 

@@ -8,7 +8,11 @@ package ingest
 // recovery replays records into fresh runs — so sealing is O(feature
 // sets), not O(delta): the run steals the delta's maps and indexes.
 
-import "stpq/internal/index"
+import (
+	"sort"
+
+	"stpq/internal/index"
+)
 
 // LayerSet is one feature set's slice of a layer: the upserted features
 // (and the index over them) plus the tombstones hiding older versions.
@@ -141,17 +145,24 @@ func UnionDeadSet(layers []*Layer, i int) map[int64]struct{} {
 	return out
 }
 
-// FoldObjects folds the layers' object upserts oldest to newest into one
-// map: newer tombstones delete older upserts, newer upserts win.
-func FoldObjects(layers []*Layer) map[int64]index.Object {
-	out := make(map[int64]index.Object)
+// FoldObjects folds the layers' object upserts oldest to newest — newer
+// tombstones delete older upserts, newer upserts win — and returns the
+// surviving objects in ascending id order, so one fold always bulk-loads
+// the same delta object part.
+func FoldObjects(layers []*Layer) []index.Object {
+	folded := make(map[int64]index.Object)
 	for _, l := range layers {
 		for id := range l.DeadObjects {
-			delete(out, id)
+			delete(folded, id)
 		}
 		for id, o := range l.Objects {
-			out[id] = o
+			folded[id] = o
 		}
 	}
+	out := make([]index.Object, 0, len(folded))
+	for _, o := range folded {
+		out = append(out, o)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -10,7 +10,6 @@ import (
 
 	"stpq/internal/core"
 	"stpq/internal/index"
-	"stpq/internal/ingest"
 	"stpq/internal/obs"
 	"stpq/internal/shard"
 )
@@ -102,11 +101,13 @@ func (db *DB) Save(dir string) error {
 	if db.cfg.SignatureBits > 0 {
 		return index.ErrSignaturePersist
 	}
+	if db.pendingLocked() {
+		// The published engine is a tombstone-filtered multi-part view;
+		// only the merged base is a saveable generation.
+		return errors.New("stpq: unmerged mutations pending; call Flush or Checkpoint instead of Save")
+	}
 	eng, ok := db.engine.(*core.Engine)
 	if !ok {
-		if _, overlay := db.engine.(*ingest.Overlay); overlay {
-			return errors.New("stpq: unmerged mutations pending; call Flush or Checkpoint instead of Save")
-		}
 		return db.saveShardedLocked(dir)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -262,10 +263,10 @@ func (db *DB) pinCheckpointLocked(seq uint64) (*ckptPin, error) {
 	if db.cfg.SignatureBits > 0 {
 		return nil, index.ErrSignaturePersist
 	}
-	eng, ok := db.engine.(*core.Engine)
-	if !ok {
-		return nil, fmt.Errorf("stpq: checkpoint requires an unsharded, fully merged engine (have %T)", db.engine)
+	if db.base == nil || db.pendingLocked() {
+		return nil, errors.New("stpq: checkpoint requires an unsharded, fully merged engine")
 	}
+	eng := db.base
 	names := make([]string, len(db.setNames))
 	copy(names, db.setNames)
 	return &ckptPin{

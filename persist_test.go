@@ -2,8 +2,10 @@ package stpq
 
 import (
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -79,6 +81,38 @@ func TestSaveValidation(t *testing.T) {
 	db := paperDB(t, Config{IndexKind: IR2, SignatureBits: 8})
 	if err := db.Save(t.TempDir()); err == nil {
 		t.Error("signature-mode Save must fail")
+	}
+}
+
+// TestSaveRefusesPendingMutations: with unmerged mutations the published
+// engine is a tombstone-filtered base + delta view, which Save must refuse
+// rather than persist; after Flush the merged base saves and reopens with
+// the mutation applied.
+func TestSaveRefusesPendingMutations(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	objs, sets := ingestSeedData(rng, 60, 40)
+	db := buildIngestDB(t, Config{PageSize: 1024, WALDir: t.TempDir(), AutoFlushOps: -1}, objs, sets)
+	o := Object{ID: 500, X: 0.5, Y: 0.5}
+	if err := db.Apply([]Mutation{{Op: OpUpsertObject, Object: &o}, {Op: OpDeleteObject, ID: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	err := db.Save(dir)
+	if err == nil || !strings.Contains(err.Error(), "unmerged mutations pending") {
+		t.Fatalf("Save with pending mutations = %v, want the unmerged-mutations error", err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Save(dir); err != nil {
+		t.Fatalf("Save after Flush: %v", err)
+	}
+	reopened, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reopened.engine.NumObjects(); n != len(objs) {
+		t.Fatalf("reopened DB has %d objects, want %d (one upserted, one deleted)", n, len(objs))
 	}
 }
 
