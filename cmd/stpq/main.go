@@ -52,7 +52,7 @@ func main() {
 		saveDir     = flag.String("save", "", "after building, save the indexes to this directory")
 		openDir     = flag.String("open", "", "open a saved database instead of loading CSVs")
 		trace       = flag.Bool("trace", false, "collect and print the query's span tree (phase timings and page reads)")
-		explain     = flag.Bool("explain", false, "print the query plan (algorithm, shard order, predicted cost) before executing")
+		explain     = flag.Bool("explain", false, "print the query plan (algorithm, object parts, predicted cost) before executing")
 		mode        = flag.String("mode", "exact", "execution tier: exact | approx (MinHash/LSH fast tier)")
 		recall      = flag.Float64("recall", 0, "approx-mode recall target in (0,1]; 0 uses the default")
 	)

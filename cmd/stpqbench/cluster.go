@@ -175,8 +175,6 @@ func (b *bench) clusterPoint(objs []stpq.Object, sets []struct {
 					Combinations:   int(resp.Stats.Sum.Combinations),
 					FeaturesPulled: int(resp.Stats.Sum.FeaturesPulled),
 					ObjectsScored:  int(resp.Stats.Sum.ObjectsScored),
-					ShardFanout:    resp.Stats.Fanout,
-					ShardPruned:    resp.Stats.Pruned,
 				}
 			}
 		}()

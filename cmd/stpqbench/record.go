@@ -76,7 +76,7 @@ type Record struct {
 	BytesPerOp  float64          `json:"bytes_per_op"`
 	Phases      []PhaseBreakdown `json:"phases,omitempty"`
 	// Counters carries experiment-specific totals over the whole workload
-	// (e.g. the shard sweep's scatter fanout/pruned counts).
+	// (e.g. the cluster sweep's fanout/pruned counts).
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 

@@ -1,18 +1,18 @@
 package main
 
-// shard.go benchmarks the sharded scatter-gather engine: a shard-count
-// sweep (S = 1 is the plain single engine) over two workload shapes — the
-// paper's uniform-keyword synthetic data, where textual bounds cannot
-// separate regions and every shard must be queried, and a regionalized
-// variant (spatially correlated keywords, the shape of real POI data)
-// where small-radius range queries let the gather phase prune the shards
-// whose region cannot match. Results are identical across the sweep by
-// construction; the experiment measures what sharding costs or saves.
+// shard.go benchmarks the sharded layout: a shard-count sweep (S = 1 is
+// the single object tree) over two workload shapes — the paper's
+// uniform-keyword synthetic data and a regionalized variant (spatially
+// correlated keywords, the shape of real POI data). A sharded build is one
+// engine over S per-cell object trees and feature parts; results are
+// identical across the sweep by construction, so the experiment measures
+// what the layout costs: logical reads and latency per query, each also
+// printed relative to S = 1.
 //
 // Unlike the figure experiments, this one always writes its records to
-// BENCH_shard.json (in addition to -json, when given): the fanout/pruned
-// counters are the point of the experiment, and the text table has no
-// room for distributions.
+// BENCH_shard.json in the working directory (in addition to -json, when
+// given): the read distributions are the point of the experiment, and the
+// text table has no room for them.
 
 import (
 	"fmt"
@@ -21,25 +21,14 @@ import (
 	"stpq/internal/core"
 	"stpq/internal/datagen"
 	"stpq/internal/index"
-	"stpq/internal/obs"
 	"stpq/internal/shard"
 )
 
 // shardBenchFile is where the shard sweep always saves its records.
 const shardBenchFile = "BENCH_shard.json"
 
-// shardParallelism fixes the scatter width so the wave-synchronous prune
-// decisions — and with them the fanout/pruned counters — are reproducible
-// across machines.
-const shardParallelism = 2
-
-// benchEngine is the query surface the sweep needs from both engines.
-type benchEngine interface {
-	STPS(core.Query) ([]core.Result, core.Stats, error)
-}
-
 func (b *bench) shardExp() {
-	header("shard sweep: scatter-gather vs single engine (STPS, SRT)")
+	header("shard sweep: S per-cell object trees in one engine vs a single tree (STPS, SRT)")
 	uniform := b.synthetic(b.scaled(defObjects), b.scaled(defFeatures), defSets, defVocab)
 	regional := uniform.Regionalize(4, b.seed)
 	workloads := []struct {
@@ -56,9 +45,9 @@ func (b *bench) shardExp() {
 		qc := b.defaultQC(wl.variant)
 		qc.NumKeywords = 2 // keep regional queries near-local (≤2 regions/set)
 		qs := wl.ds.GenQueries(b.queries, qc)
+		var base core.Stats // the S = 1 per-query means
 		for _, shards := range []int{1, 2, 4, 8} {
-			reg := obs.NewRegistry()
-			e := b.shardEngine(wl.ds, shards, reg)
+			e := b.shardEngine(wl.ds, shards)
 			var (
 				acc core.Stats
 				per = make([]core.Stats, 0, len(qs))
@@ -75,19 +64,14 @@ func (b *bench) shardExp() {
 			label := fmt.Sprintf("  %s, S=%d", wl.name, shards)
 			rec := newRecord("shard", label, "SRT", "stps", qs, per)
 			rec.AllocsPerOp, rec.BytesPerOp = mc.perOp(len(qs))
-			cols := []string{cell(acc.Scale(len(qs)))}
-			if shards > 1 {
-				fanout := reg.Counter("stpq_shard_fanout_total").Value()
-				pruned := reg.Counter("stpq_shard_pruned_total").Value()
-				rec.Counters = map[string]int64{
-					"stpq_shard_fanout_total": fanout,
-					"stpq_shard_pruned_total": pruned,
-				}
-				cols = append(cols, fmt.Sprintf("fanout %.2f pruned %.2f /query",
-					float64(fanout)/float64(len(qs)), float64(pruned)/float64(len(qs))))
-			}
 			recs = append(recs, rec)
-			line(label, cols...)
+			mean := acc.Scale(len(qs))
+			if shards == 1 {
+				base = mean
+			}
+			line(label, cell(mean), fmt.Sprintf("%8.1f reads/query  vs S=1: reads x%.2f latency x%.2f",
+				rec.LogicalReads.Mean, ratio(mean.LogicalReads, base.LogicalReads),
+				ratio(int64(mean.Total()), int64(base.Total()))))
 		}
 	}
 	if err := writeRecords(shardBenchFile, recs); err != nil {
@@ -99,11 +83,19 @@ func (b *bench) shardExp() {
 	}
 }
 
-// shardEngine builds the S-shard engine over ds (S = 1: the plain core
-// engine, built fresh so its buffer pools start cold like the sharded
-// ones). Scatter counters land in reg.
-func (b *bench) shardEngine(ds *datagen.Dataset, shards int, reg *obs.Registry) benchEngine {
+// ratio returns a/b, or 0 when b is 0.
+func ratio(a, b int64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
+}
+
+// shardEngine builds the engine over ds split into S cells (S = 1: the
+// single object tree), fresh so its buffer pools start cold at every S.
+func (b *bench) shardEngine(ds *datagen.Dataset, shards int) *core.Engine {
 	opts := index.Options{Kind: index.SRT, VocabWidth: ds.VocabWidth, BufferPages: b.buffer}
+	copts := core.Options{BatchSTDS: true, CostModel: b.cost, Trace: b.jsonPath != ""}
 	if shards <= 1 {
 		oidx, err := index.BuildObjectIndex(ds.Objects, opts)
 		if err != nil {
@@ -116,23 +108,17 @@ func (b *bench) shardEngine(ds *datagen.Dataset, shards int, reg *obs.Registry) 
 				log.Fatal(err)
 			}
 		}
-		e, err := core.NewEngine(oidx, fidxs, core.Options{
-			BatchSTDS: true, CostModel: b.cost, Trace: b.jsonPath != "",
-		})
+		e, err := core.NewEngine(oidx, fidxs, copts)
 		if err != nil {
 			log.Fatal(err)
 		}
 		return e
 	}
-	e, err := shard.New(ds.Objects, ds.FeatureSets, shard.Options{
-		Shards:      shards,
-		Parallelism: shardParallelism,
-		Index:       opts,
-		Core: core.Options{
-			BatchSTDS: true, CostModel: b.cost, Trace: b.jsonPath != "",
-		},
-		Metrics: reg,
-	})
+	s, err := shard.New(ds.Objects, ds.FeatureSets, shard.Options{Shards: shards, Index: opts})
+	if err != nil {
+		log.Fatal(err)
+	}
+	e, err := core.NewEngineWithParts(s.Objects, s.Total, s.Groups, copts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -246,7 +246,7 @@ func (db *DB) foldExtraIntoRawLocked(extra []Mutation) {
 // does (when structurally possible); MergeAuto additionally requires the
 // tree-quality heuristic to pass: bounded cumulative drift, heights within
 // one level of the bulk-loaded baseline, and a bounded overflow-split
-// count. Signature-mode indexes and sharded engines always rebuild.
+// count. Signature-mode indexes and sharded DBs always rebuild.
 func (db *DB) canPartialMergeLocked(net *netOps) bool {
 	if db.base == nil || db.objLoc == nil || net == nil {
 		return false

@@ -67,31 +67,35 @@ func concQueries() []Query {
 // with per-query Stats still satisfying LogicalReads ≥ PhysicalReads > 0.
 // The /pending subtests run the same workload with unmerged ingest
 // mutations, so concurrent queries share the delta object and feature
-// parts.
+// parts; the /sharded subtests run it on a 4-shard DB, so they share the
+// per-cell object trees and feature parts of one engine.
 func TestConcurrentMatchesSequential(t *testing.T) {
 	const goroutines = 8
 	for _, kind := range []IndexKind{SRT, IR2} {
 		for _, alg := range []Algorithm{STPS, STDS} {
-			for _, pending := range []bool{false, true} {
+			for _, mode := range []string{"", "pending", "sharded"} {
 				name := fmt.Sprintf("kind=%d/alg=%d", kind, alg)
-				if pending {
-					name += "/pending"
+				if mode != "" {
+					name += "/" + mode
 				}
 				t.Run(name, func(t *testing.T) {
-					testConcurrentMatchesSequential(t, kind, alg, pending, goroutines)
+					testConcurrentMatchesSequential(t, kind, alg, mode, goroutines)
 				})
 			}
 		}
 	}
 }
 
-func testConcurrentMatchesSequential(t *testing.T, kind IndexKind, alg Algorithm, pending bool, goroutines int) {
+func testConcurrentMatchesSequential(t *testing.T, kind IndexKind, alg Algorithm, mode string, goroutines int) {
 	cfg := Config{IndexKind: kind, BufferPages: 64}
-	if pending {
+	switch mode {
+	case "pending":
 		cfg.WALDir, cfg.AutoFlushOps = t.TempDir(), -1
+	case "sharded":
+		cfg.ShardCount = 4
 	}
 	db := concDB(t, cfg, 400, 400)
-	if pending {
+	if mode == "pending" {
 		rng := rand.New(rand.NewSource(8))
 		var muts []Mutation
 		for i := 0; i < 80; i++ {

@@ -1,9 +1,9 @@
 package stpq
 
 // explain.go is the EXPLAIN surface: DB.Explain describes how a query
-// would execute — algorithm, index, shard scatter order with per-shard
-// upper bounds — and predicts its cost from the recorded per-shape
-// statistics (DB.QueryShapes), without running the query. Exposed as
+// would execute — algorithm, index, the object parts it searches — and
+// predicts its cost from the recorded per-shape statistics
+// (DB.QueryShapes), without running the query. Exposed as
 // `stpq -explain` on the CLI and `"explain": true` on the HTTP query
 // endpoint.
 
@@ -15,7 +15,6 @@ import (
 	"stpq/internal/core"
 	"stpq/internal/obs"
 	"stpq/internal/plan"
-	"stpq/internal/shard"
 )
 
 // PlanCandidate is one algorithm the planner considered for a query, with
@@ -46,9 +45,7 @@ type PlanDecision struct {
 	// (CostKnown false) below the sample floor.
 	Cost      time.Duration `json:"cost_ns,omitempty"`
 	CostKnown bool          `json:"cost_known"`
-	// Fanout is the planner's scatter wave width for sharded execution;
-	// 0 keeps the engine default.
-	Fanout     int             `json:"fanout,omitempty"`
+	// Candidates lists every algorithm considered, chosen first.
 	Candidates []PlanCandidate `json:"candidates,omitempty"`
 }
 
@@ -61,7 +58,6 @@ func fromPlanDecision(d plan.Decision) PlanDecision {
 		Fallback:  d.Fallback,
 		Cost:      d.Cost,
 		CostKnown: d.CostKnown,
-		Fanout:    d.Fanout,
 	}
 	for _, c := range d.Candidates {
 		out.Candidates = append(out.Candidates, PlanCandidate{
@@ -69,17 +65,6 @@ func fromPlanDecision(d plan.Decision) PlanDecision {
 		})
 	}
 	return out
-}
-
-// ExplainShard is one shard's entry in a sharded query plan, in scatter
-// order: the wave it runs in at the current parallelism and the upper
-// bound its region admits for the query (the pruning key — the gather
-// stops once the merged k-th score beats every remaining bound).
-type ExplainShard struct {
-	ID      int     `json:"id"`
-	Wave    int     `json:"wave"`
-	Bound   float64 `json:"bound"`
-	Objects int     `json:"objects"`
 }
 
 // Explain describes how a query would execute and what it is expected to
@@ -107,10 +92,10 @@ type Explain struct {
 	FeatureSets int `json:"feature_sets"`
 	// Shape is the canonical shape label the prediction is keyed by.
 	Shape string `json:"shape"`
-	// Shards is the scatter plan of a sharded DB (nil when unsharded),
-	// and Parallelism its wave width.
-	Shards      []ExplainShard `json:"shards,omitempty"`
-	Parallelism int            `json:"parallelism,omitempty"`
+	// ObjectParts is the number of object trees the engine searches
+	// together — one per non-empty cell of a sharded DB, base plus delta
+	// with pending ingest — omitted when there is one.
+	ObjectParts int `json:"object_parts,omitempty"`
 	// Predicted is the recorded mean cost of the shape, nil while fewer
 	// than MinPredictSamples executions have been recorded; Samples is the
 	// number of recorded executions either way.
@@ -127,9 +112,8 @@ type Explain struct {
 const MinPredictSamples = obs.MinPredictSamples
 
 // Explain describes how the query would execute against the current
-// indexes without running it: the chosen algorithm and index, the shard
-// scatter order with per-shard upper bounds (sharded DBs), and the
-// predicted cost from recorded per-shape statistics once the shape has
+// indexes without running it: the chosen algorithm and index, the object
+// parts it searches, and the predicted cost from recorded per-shape statistics once the shape has
 // enough samples.
 func (db *DB) Explain(q Query) (*Explain, error) {
 	snap, err := db.Snapshot()
@@ -198,23 +182,8 @@ func (s *Snapshot) Explain(q Query) (*Explain, error) {
 	} else {
 		ex.Shape = key.String()
 	}
-	if eng, ok := s.engine.(*shard.Engine); ok {
-		sp, err := eng.Plan(cq)
-		if err != nil {
-			return nil, err
-		}
-		ex.Parallelism = eng.Parallelism()
-		if pd.Fanout > 0 && pd.Fanout < ex.Parallelism {
-			ex.Parallelism = pd.Fanout
-		}
-		ex.Shards = make([]ExplainShard, len(sp))
-		for i, p := range sp {
-			wave := p.Wave
-			if ex.Parallelism > 0 {
-				wave = i / ex.Parallelism
-			}
-			ex.Shards[i] = ExplainShard{ID: p.ID, Wave: wave, Bound: p.Bound, Objects: p.Objects}
-		}
+	if n := len(s.engine.ObjectParts()); n > 1 {
+		ex.ObjectParts = n
 	}
 	return ex, nil
 }
@@ -252,15 +221,9 @@ func (e *Explain) String() string {
 					c.Algorithm, c.Samples, MinPredictSamples)
 			}
 		}
-		if p.Fanout > 0 {
-			fmt.Fprintf(&b, "    fan-out: %d shard(s) per wave (cost-based)\n", p.Fanout)
-		}
 	}
-	if len(e.Shards) > 0 {
-		fmt.Fprintf(&b, "  plan: scatter-gather over %d shards, parallelism %d\n", len(e.Shards), e.Parallelism)
-		for _, sh := range e.Shards {
-			fmt.Fprintf(&b, "    wave %d: shard %02d  bound=%.4f  objects=%d\n", sh.Wave, sh.ID, sh.Bound, sh.Objects)
-		}
+	if e.ObjectParts > 1 {
+		fmt.Fprintf(&b, "  plan: one engine over %d object parts\n", e.ObjectParts)
 	} else {
 		fmt.Fprintf(&b, "  plan: single engine\n")
 	}

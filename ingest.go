@@ -65,7 +65,7 @@ var (
 	// attached.
 	ErrWALAttached = errors.New("stpq: WAL already attached")
 	// ErrIngestUnsupported is returned for DB configurations without a
-	// write path: sharded engines and signature-mode indexes.
+	// write path: sharded DBs and signature-mode indexes.
 	ErrIngestUnsupported = errors.New("stpq: live ingest requires an unsharded, exact-keyword DB")
 	// ErrInvalidMutation wraps every mutation-validation error.
 	ErrInvalidMutation = errors.New("stpq: invalid mutation")

@@ -13,8 +13,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-
-	"stpq/internal/core"
 )
 
 // ingestWords is the closed keyword pool of the equivalence tests. The
@@ -316,11 +314,8 @@ func TestApplyOracleEquivalence(t *testing.T) {
 func assertDeltaPartCharged(t *testing.T, db *DB) {
 	t.Helper()
 	db.mu.RLock()
-	eng, ok := db.engine.(*core.Engine)
+	eng := db.engine
 	db.mu.RUnlock()
-	if !ok {
-		t.Fatalf("published engine is %T, want *core.Engine", db.engine)
-	}
 	parts := eng.ObjectParts()
 	if len(parts) != 2 {
 		t.Fatalf("%d object parts, want base + delta", len(parts))

@@ -166,9 +166,9 @@ func (p Params) Candidate(a, b *Signature) bool {
 }
 
 // Request is the per-query approximate-tier state, shared by every engine
-// view (shards, sessions) executing one logical query: the lowered LSH
-// parameters plus atomic pruning counters, safe for the sharded engine's
-// concurrent scatter waves.
+// view (sessions, cluster sub-queries) executing one logical query: the
+// lowered LSH parameters plus atomic pruning counters, safe for concurrent
+// use.
 type Request struct {
 	Params Params
 	// Candidates counts leaf features checked against the sketch, Pruned

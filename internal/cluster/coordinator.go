@@ -1,11 +1,10 @@
 package cluster
 
-// coordinator.go is the scatter-gather coordinator: it mirrors the wave
-// loop of internal/shard's Engine.run across the process boundary. For a
-// query it probes every node's admissible upper bound, sorts nodes by
-// bound (descending, ties by node id ascending), fans the query out in
-// waves of Parallelism, and terminates as soon as the k-th merged score
-// strictly exceeds the next node's bound. Because every node's bound is
+// coordinator.go is the scatter-gather coordinator. For a query it probes
+// every node's admissible upper bound, sorts nodes by bound (descending,
+// ties by node id ascending), fans the query out in waves of Parallelism,
+// and terminates as soon as the k-th merged score strictly exceeds the
+// next node's bound. Because every node's bound is
 // admissible and the merge runs under the engine-wide result total order
 // (score descending, ties by ascending id), the merged top-k is
 // byte-identical to the single-process engine — independent of wave
@@ -468,7 +467,8 @@ func (c *Coordinator) Do(q stpq.Query) (*ClusterResponse, error) {
 	return resp, nil
 }
 
-// run is the wave loop — the network mirror of shard.Engine.run.
+// run is the wave loop: probe bounds, fan out in bound order, merge, and
+// stop once the k-th merged score strictly beats every remaining bound.
 func (c *Coordinator) run(q stpq.Query, wq WireQuery) (*ClusterResponse, error) {
 	cands, err := c.probeBounds(wq)
 	if err != nil {

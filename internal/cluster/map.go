@@ -3,9 +3,9 @@ package cluster
 // map.go is the cluster partition map: the serializable description of
 // which cell of the spatial partition lives on which node, and who leads
 // and follows each cell. The partition section is shard.PartitionMeta —
-// JSON-identical to the "partition" section of a sharded engine's
+// JSON-identical to the "partition" section of a sharded DB's
 // shards.json manifest — so the exact cell function that splits a sharded
-// engine splits the cluster, and any process holding the map assigns any
+// DB splits the cluster, and any process holding the map assigns any
 // point to the same node.
 
 import (

@@ -389,16 +389,27 @@ func TestQueryValidation(t *testing.T) {
 
 func TestNewEngineValidation(t *testing.T) {
 	w := buildWorld(t, 114, 10, 10, 1, 8, index.SRT, Options{})
-	if _, err := NewEngineWithGroups(nil, w.engine.FeatureGroups(), Options{}); err == nil {
+	objs, groups := w.engine.Objects(), w.engine.FeatureGroups()
+	fidx := groups[0].Part(0)
+	if _, err := NewEngine(nil, []*index.FeatureIndex{fidx}, Options{}); err == nil {
 		t.Error("nil object index must fail")
 	}
-	if _, err := NewEngine(w.engine.Objects(), nil, Options{}); err == nil {
+	if _, err := NewEngine(objs, nil, Options{}); err == nil {
 		t.Error("no feature indexes must fail")
 	}
-	if _, err := NewEngine(w.engine.Objects(), []*index.FeatureIndex{nil}, Options{}); err == nil {
+	if _, err := NewEngine(objs, []*index.FeatureIndex{nil}, Options{}); err == nil {
 		t.Error("nil feature index must fail")
 	}
-	if _, err := NewEngineWithGroups(w.engine.Objects(), []*index.FeatureGroup{nil}, Options{}); err == nil {
+	if _, err := NewEngineWithParts(nil, 0, groups, Options{}); err == nil {
+		t.Error("no object parts must fail")
+	}
+	if _, err := NewEngineWithParts([]*index.ObjectIndex{objs, nil}, objs.Len(), groups, Options{}); err == nil {
+		t.Error("nil object part must fail")
+	}
+	if _, err := NewEngineWithParts([]*index.ObjectIndex{objs}, objs.Len(), nil, Options{}); err == nil {
+		t.Error("no feature groups must fail")
+	}
+	if _, err := NewEngineWithParts([]*index.ObjectIndex{objs}, objs.Len(), []*index.FeatureGroup{nil}, Options{}); err == nil {
 		t.Error("nil feature group must fail")
 	}
 }

@@ -87,19 +87,13 @@ type Query struct {
 	RequestID string
 	// Trace is the query's explicit tracing decision.
 	Trace TraceMode
-	// Fanout, when positive, caps the sharded engine's scatter wave width
-	// for this query — the planner's cost-based fan-out decision. 0 keeps
-	// the engine default. Results are unaffected at any width: the
-	// between-wave termination rule prunes only strictly out-scored
-	// shards. Not part of the query shape.
-	Fanout int
 	// Approx, when non-nil, runs the query in the approximate fast tier:
 	// MinHash/LSH candidate pruning (and, in signature mode with
 	// SkipVerify, estimated similarity scoring) replace exact textual
 	// verification. The request carries the lowered LSH parameters and
-	// the shared atomic pruning counters; query copies (shard fan-out,
-	// sessions) alias the same request, so counters aggregate across the
-	// whole logical query. nil = exact mode, the default.
+	// the shared atomic pruning counters; query copies (sessions) alias
+	// the same request, so counters aggregate across the whole logical
+	// query. nil = exact mode, the default.
 	Approx *approx.Request
 }
 
@@ -167,16 +161,12 @@ type Stats struct {
 	// ObjectsScored counts data objects whose score was computed (STDS)
 	// or retrieved (STPS).
 	ObjectsScored int
-	// ShardFanout and ShardPruned count shards queried / skipped by a
-	// sharded engine's scatter-gather; zero on unsharded engines.
-	ShardFanout int
-	ShardPruned int
 	// ApproxCandidates, ApproxPruned and ApproxSkippedReads report the
 	// approximate tier's work: leaf features checked against the MinHash
 	// sketch, those the LSH band filter rejected, and verification page
 	// reads the skip-verify path avoided. Zero in exact mode. They are
 	// loaded once per logical query from the shared approx request (the
-	// snapshot layer fills them), so per-shard sub-stats leave them zero.
+	// snapshot layer fills them).
 	ApproxCandidates   int64
 	ApproxPruned       int64
 	ApproxSkippedReads int64
@@ -200,8 +190,6 @@ func (s *Stats) Add(other Stats) {
 	s.Combinations += other.Combinations
 	s.FeaturesPulled += other.FeaturesPulled
 	s.ObjectsScored += other.ObjectsScored
-	s.ShardFanout += other.ShardFanout
-	s.ShardPruned += other.ShardPruned
 	s.ApproxCandidates += other.ApproxCandidates
 	s.ApproxPruned += other.ApproxPruned
 	s.ApproxSkippedReads += other.ApproxSkippedReads
@@ -223,8 +211,6 @@ func (s Stats) Scale(n int) Stats {
 		Combinations:       s.Combinations / n,
 		FeaturesPulled:     s.FeaturesPulled / n,
 		ObjectsScored:      s.ObjectsScored / n,
-		ShardFanout:        s.ShardFanout / n,
-		ShardPruned:        s.ShardPruned / n,
 		ApproxCandidates:   s.ApproxCandidates / int64(n),
 		ApproxPruned:       s.ApproxPruned / int64(n),
 		ApproxSkippedReads: s.ApproxSkippedReads / int64(n),
@@ -430,28 +416,23 @@ func NewEngine(objects *index.ObjectIndex, features []*index.FeatureIndex, opts 
 			return nil, fmt.Errorf("core: feature index %d is nil", i)
 		}
 	}
+	if objects == nil {
+		return nil, errors.New("core: nil object index")
+	}
 	groups, err := index.GroupEach(features)
 	if err != nil {
 		return nil, err
 	}
-	return NewEngineWithGroups(objects, groups, opts)
-}
-
-// NewEngineWithGroups creates an engine whose feature sets are forests of
-// index parts (used by the sharded engine, where each sub-engine pairs its
-// local object index with the globally shared feature groups).
-func NewEngineWithGroups(objects *index.ObjectIndex, features []*index.FeatureGroup, opts Options) (*Engine, error) {
-	if objects == nil {
-		return nil, errors.New("core: nil object index")
-	}
-	return NewEngineWithParts([]*index.ObjectIndex{objects}, objects.Len(), features, opts)
+	return NewEngineWithParts([]*index.ObjectIndex{objects}, objects.Len(), groups, opts)
 }
 
 // NewEngineWithParts creates an engine whose data objects are a forest of
-// object-index parts with disjoint ids (used by live ingest: the
-// tombstone-filtered base tree plus a bulk-loaded delta part). Every object
-// search seeds its traversal with every part, so answers equal those of one
-// tree over the union. numObjects is the live object count across the
+// object-index parts with disjoint ids and whose feature sets are forests
+// of feature-index parts. A sharded DB passes one object part per cell
+// with the feature groups shared across cells; live ingest passes the
+// tombstone-filtered base tree plus a bulk-loaded delta part. Every object
+// search seeds its traversal with every part, so answers equal those of
+// one tree over the union. numObjects is the live object count across the
 // parts.
 func NewEngineWithParts(objects []*index.ObjectIndex, numObjects int, features []*index.FeatureGroup, opts Options) (*Engine, error) {
 	if len(objects) == 0 {
@@ -559,14 +540,14 @@ func (e *Engine) finishStats(st *Stats, before storage.Stats, start time.Time) {
 // that already started keep their tracing decision.
 func (e *Engine) SetTrace(on bool) { e.trace.Store(on) }
 
-// TraceDecision resolves whether a query collects a span tree and whether
+// traceDecision resolves whether a query collects a span tree and whether
 // that tree is kept (returned in Stats and stored on the event record) or
 // collected only provisionally for slow-query capture. Precedence: the
 // query's explicit mode, then the engine toggle, then the telemetry
 // sampler; a configured slow-query threshold forces collection of every
 // remaining query so slow ones have complete traces (keep stays false —
 // the trace survives only if the query actually turns out slow).
-func TraceDecision(mode TraceMode, engineOn bool, tel *obs.Telemetry) (collect, keep bool) {
+func traceDecision(mode TraceMode, engineOn bool, tel *obs.Telemetry) (collect, keep bool) {
 	switch mode {
 	case TraceOn:
 		return true, true
@@ -590,7 +571,7 @@ func TraceDecision(mode TraceMode, engineOn bool, tel *obs.Telemetry) (collect, 
 // read accumulator, so span deltas line up exactly with Stats even under
 // concurrent queries.
 func (e *Engine) newTrace(name string, q *Query) *obs.Trace {
-	collect, keep := TraceDecision(q.Trace, e.trace.Load(), e.opts.Telemetry)
+	collect, keep := traceDecision(q.Trace, e.trace.Load(), e.opts.Telemetry)
 	if !collect {
 		return nil
 	}
@@ -625,15 +606,13 @@ func finishTrace(tr *obs.Trace, stats *Stats) {
 // log (always — failures are exactly what the log must surface).
 func (e *Engine) observeQuery(alg string, q *Query, st *Stats, start time.Time, err error) {
 	if err == nil {
-		ObserveQuery(e.opts.Metrics, alg, q, st)
+		observeMetrics(e.opts.Metrics, alg, q, st)
 	}
-	RecordQueryEvent(e.opts.Telemetry, alg, q, st, start, err)
+	recordQueryEvent(e.opts.Telemetry, alg, q, st, start, err)
 }
 
-// ObserveQuery feeds one finished query into a metrics registry. It is
-// exported for engine wrappers (the sharded engine) that must observe the
-// merged query exactly once instead of once per sub-engine.
-func ObserveQuery(r *obs.Registry, alg string, q *Query, st *Stats) {
+// observeMetrics feeds one finished query into a metrics registry.
+func observeMetrics(r *obs.Registry, alg string, q *Query, st *Stats) {
 	if r == nil {
 		return
 	}
@@ -646,11 +625,10 @@ func ObserveQuery(r *obs.Registry, alg string, q *Query, st *Stats) {
 	r.Counter("stpq_features_pulled_total" + label).Add(int64(st.FeaturesPulled))
 	r.Counter("stpq_objects_scored_total" + label).Add(int64(st.ObjectsScored))
 	if a := q.Approx; a != nil {
-		// Read from the shared request, not st: the unsharded engine
-		// observes before the snapshot layer copies the counters into
-		// Stats, and the shard engine observes the merged query once after
-		// all waves — in both cases the request already holds the full
-		// totals for this logical query.
+		// Read from the shared request, not st: the engine observes
+		// before the snapshot layer copies the counters into Stats, and
+		// the request already holds the full totals for this logical
+		// query.
 		r.Counter("stpq_approx_queries_total" + label).Inc()
 		r.Histogram("stpq_approx_query_seconds"+label, obs.LatencyBuckets).Observe(st.Total().Seconds())
 		r.Counter("stpq_approx_candidates_total" + label).Add(a.Candidates.Load())
@@ -685,11 +663,9 @@ func QueryShapeKey(alg string, q *Query) obs.ShapeKey {
 	return key
 }
 
-// RecordQueryEvent files one finished query into the telemetry bundle. It
-// is exported for engine wrappers (the sharded engine) that must record
-// the merged query exactly once instead of once per sub-engine. The
+// recordQueryEvent files one finished query into the telemetry bundle. The
 // success path is allocation-free once the query's shape has been seen.
-func RecordQueryEvent(tel *obs.Telemetry, alg string, q *Query, st *Stats, start time.Time, err error) {
+func recordQueryEvent(tel *obs.Telemetry, alg string, q *Query, st *Stats, start time.Time, err error) {
 	if tel == nil {
 		return
 	}
@@ -707,8 +683,6 @@ func RecordQueryEvent(tel *obs.Telemetry, alg string, q *Query, st *Stats, start
 		Combinations:   st.Combinations,
 		FeaturesPulled: st.FeaturesPulled,
 		ObjectsScored:  st.ObjectsScored,
-		ShardFanout:    st.ShardFanout,
-		ShardPruned:    st.ShardPruned,
 		Outcome:        "ok",
 		Trace:          st.Trace,
 	}
@@ -745,15 +719,14 @@ func RecordCacheHit(tel *obs.Telemetry, alg string, q *Query, start time.Time, e
 	tel.Record(ev, QueryShapeKey(alg, q), false)
 }
 
-// UpperBound returns a sound upper bound on τ(p) for every location p
+// upperBound returns a sound upper bound on τ(p) for every location p
 // inside rect: per feature set, the best root-level score bound over the
-// parts that can contribute, tightened per variant — range parts farther
-// than r from rect are skipped entirely (no feature of theirs can be in
-// range of any p ∈ rect), influence bounds decay by 2^(−mindist/r), NN
-// keeps the raw textual bound (the nearest neighbor can be arbitrarily
-// close). The sharded engine uses this per shard MBR to order and prune
-// the scatter phase.
-func (e *Engine) UpperBound(q Query, rect geo.Rect) (float64, error) {
+// feature parts that can contribute, tightened per variant — range parts
+// farther than r from rect are skipped entirely (no feature of theirs can
+// be in range of any p ∈ rect), influence bounds decay by 2^(−mindist/r),
+// NN keeps the raw textual bound (the nearest neighbor can be arbitrarily
+// close).
+func (e *Engine) upperBound(q Query, rect geo.Rect) (float64, error) {
 	if err := q.Validate(len(e.features)); err != nil {
 		return 0, err
 	}
@@ -794,7 +767,7 @@ func (e *Engine) UpperBound(q Query, rect geo.Rect) (float64, error) {
 	return total, nil
 }
 
-// UpperBoundAll returns UpperBound evaluated over the MBR of the engine's
+// UpperBoundAll returns upperBound evaluated over the MBR of the engine's
 // own data objects (the union of the object-part roots) — the admissible
 // whole-engine bound a cluster node reports to the coordinator's scatter
 // probe. An engine without data objects bounds at 0: it cannot contribute
@@ -814,7 +787,7 @@ func (e *Engine) UpperBoundAll(q Query) (float64, error) {
 	if rect.IsEmpty() {
 		return 0, nil
 	}
-	return e.UpperBound(q, rect)
+	return e.upperBound(q, rect)
 }
 
 // virtualScore is the score of the virtual feature ∅ (paper Section 6.1).

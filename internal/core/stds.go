@@ -51,8 +51,8 @@ func (e *Engine) STDS(q Query) ([]Result, Stats, error) {
 // betterResult is the total order on results used everywhere: score
 // descending, ties broken by ascending id. Making membership in the top-k
 // a pure function of the scored object set (instead of scan order) is what
-// lets the sharded engine merge per-shard answers into a byte-identical
-// global answer.
+// makes a multi-part engine's answer byte-identical to the single-tree
+// answer, and lets the cluster coordinator merge per-node answers.
 func betterResult(a, b Result) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
@@ -331,7 +331,7 @@ func (e *Engine) computeNNScore(set int, q *Query, p pointArg) (float64, error) 
 // groupAscendDistance streams a feature group's leaf entries in increasing
 // distance from center, merging the group's part trees through one shared
 // min-distance heap (the multi-tree analogue of rtree.AscendDistance). For
-// the NN variant on a sharded engine this is the cross-border rule: a part's
+// the NN variant over a sharded DB this is the cross-border rule: a part's
 // candidate leaf is popped — and thus final — only once its distance beats
 // the mindist of every unvisited subtree of every other part.
 func (e *Engine) groupAscendDistance(g *index.FeatureGroup, center geo.Point, fn func(part int, en *rtree.Entry, d float64) bool) error {

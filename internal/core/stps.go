@@ -530,9 +530,9 @@ func (e *Engine) comboRegion(comb combination, cache *queryCells, radii map[cell
 // voronoiCell computes the exact Voronoi cell of a feature within its
 // feature set by streaming neighbors in increasing distance until the
 // 2·maxdist stopping rule fires. The distance ascent merges all parts of
-// the feature group, so a cell computed on a sharded engine is the cell
-// within the full (global) feature set — Voronoi cells ignore shard
-// borders by construction.
+// the feature group, so a cell computed over a sharded DB's per-cell parts
+// is the cell within the full (global) feature set — Voronoi cells ignore
+// shard borders by construction.
 func (e *Engine) voronoiCell(set int, site *rtree.Entry) (geo.Polygon, error) {
 	b := voronoi.NewCellBuilder(site.Point(), geo.UnitSquare())
 	err := e.groupAscendDistance(e.features[set], site.Point(), func(_ int, en *rtree.Entry, d float64) bool {

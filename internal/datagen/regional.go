@@ -17,8 +17,8 @@ import (
 // textually identical, so a textual bound can never separate one region
 // from another. Real POI data is the opposite: keywords concentrate
 // where their businesses do. Regionalized workloads reproduce that
-// shape, which is what lets a sharded engine prune shards whose region
-// cannot contain the queried keywords.
+// shape, which is what lets bound pruning skip the object parts (or
+// cluster nodes) whose region cannot contain the queried keywords.
 func (d *Dataset) Regionalize(grid int, seed int64) *Dataset {
 	if grid < 1 {
 		grid = 1

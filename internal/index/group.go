@@ -1,8 +1,8 @@
 package index
 
 // group.go implements FeatureGroup: one logical feature set F_i stored as
-// a forest of FeatureIndex parts. The single-engine case uses one part per
-// group; the sharded engine (internal/shard) slices each feature set
+// a forest of FeatureIndex parts. The unsharded build uses one part per
+// group; a sharded build (internal/shard) slices each feature set
 // spatially into one part per shard cell. Query algorithms that traverse a
 // group seed their priority queues with every part root, which makes the
 // multi-part traversal emit exactly the same feature sequence as a single

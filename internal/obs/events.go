@@ -49,8 +49,8 @@ type QueryEvent struct {
 	Combinations,
 	FeaturesPulled,
 	ObjectsScored int
-	// ShardFanout and ShardPruned count shards queried / skipped by the
-	// scatter-gather (zero on unsharded engines).
+	// ShardFanout and ShardPruned count cluster nodes queried / skipped
+	// by the coordinator's gather (zero on engine events).
 	ShardFanout,
 	ShardPruned int
 	// Mode is "approx" for fast-tier executions, "" for exact.

@@ -150,8 +150,7 @@ type Span struct {
 // event records unless the query actually crossed the slow threshold.
 func (s *Span) Kept() bool { return s != nil && s.keep }
 
-// MarkKeep flags the span as explicitly requested. Engine wrappers that
-// assemble root spans by hand (the sharded engine) use it directly.
+// MarkKeep flags the span as explicitly requested.
 func (s *Span) MarkKeep() {
 	if s != nil {
 		s.keep = true

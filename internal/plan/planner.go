@@ -1,6 +1,6 @@
 // Package plan is the cost-based query planner: it sits between query
 // validation and execution for every entry point (library TopK, the serve
-// worker pool, the sharded scatter-gather and the cluster coordinator) and
+// worker pool and the cluster coordinator) and
 // turns the per-shape statistics of internal/obs into three decisions:
 //
 //  1. Which algorithm runs a query whose caller did not force one
@@ -8,10 +8,10 @@
 //     the winner flips with radius, k and keyword selectivity — so the
 //     planner compares the recorded mean total cost (CPU + modeled I/O) of
 //     the query's shape under both algorithms and picks the cheaper one.
-//  2. How wide a sharded (or clustered) query fans out per wave: a query
-//     whose predicted cost is small finishes fast even serialized, so
-//     running it one shard at a time maximizes the bound-pruning between
-//     waves; an expensive query wants the full width for overlap.
+//  2. How wide a clustered query fans out per wave: a query whose
+//     predicted cost is small finishes fast even serialized, so running it
+//     one node at a time maximizes the bound-pruning between waves; an
+//     expensive query wants the full width for overlap.
 //  3. What a query is predicted to cost — the admission-control input that
 //     lets the serve layer shed the expensive tail under overload instead
 //     of rejecting uniformly at random.
@@ -38,8 +38,8 @@ const (
 )
 
 // DefaultCheapLatency is the predicted-cost threshold below which a
-// sharded query is serialized (wave width 1): at this cost the pruning
-// won by evaluating the termination rule between every shard outweighs
+// clustered query is serialized (wave width 1): at this cost the pruning
+// won by evaluating the termination rule between every node outweighs
 // the lost overlap.
 const DefaultCheapLatency = 5 * time.Millisecond
 
@@ -85,8 +85,6 @@ type Decision struct {
 	// is false (and Cost zero) below the sample floor.
 	Cost      time.Duration `json:"cost_ns,omitempty"`
 	CostKnown bool          `json:"cost_known"`
-	// Fanout is the chosen scatter wave width; 0 keeps the engine default.
-	Fanout int `json:"fanout,omitempty"`
 	// Candidates lists every algorithm considered, chosen first.
 	Candidates []Candidate `json:"candidates,omitempty"`
 }
@@ -197,13 +195,13 @@ func (p *Planner) Decide(key obs.ShapeKey, forced string) Decision {
 }
 
 // FanoutWidth decides the scatter wave width for a query over the given
-// number of shards (or cluster nodes): 0 keeps the engine default.
-// A warm, cheap prediction serializes the waves (width 1) so the
-// termination rule is evaluated after every shard — maximal pruning at
-// negligible latency cost; everything else (expensive or cold) keeps the
-// engine's configured width. Results are identical at any width.
-func (p *Planner) FanoutWidth(cost time.Duration, known bool, shards int) int {
-	if shards <= 1 || !known {
+// number of cluster nodes: 0 keeps the coordinator default. A warm, cheap
+// prediction serializes the waves (width 1) so the termination rule is
+// evaluated after every node — maximal pruning at negligible latency
+// cost; everything else (expensive or cold) keeps the configured width.
+// Results are identical at any width.
+func (p *Planner) FanoutWidth(cost time.Duration, known bool, nodes int) int {
+	if nodes <= 1 || !known {
 		return 0
 	}
 	if cost <= p.cheapLatency() {

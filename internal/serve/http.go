@@ -121,8 +121,11 @@ type StatsJSON struct {
 	Combinations   int   `json:"combinations,omitempty"`
 	FeaturesPulled int   `json:"features_pulled,omitempty"`
 	ObjectsScored  int   `json:"objects_scored,omitempty"`
-	ShardFanout    int   `json:"shard_fanout,omitempty"`
-	ShardPruned    int   `json:"shard_pruned,omitempty"`
+	// ShardFanout and ShardPruned count cluster nodes queried / skipped
+	// by the coordinator's gather; the single-process handler leaves them
+	// zero.
+	ShardFanout int `json:"shard_fanout,omitempty"`
+	ShardPruned int `json:"shard_pruned,omitempty"`
 	// Approx* report the fast tier's pruning work (approx-mode queries
 	// only): leaf candidates tested against the query signature, candidates
 	// pruned by the LSH band test, and record-file verification reads
@@ -231,8 +234,6 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 			Combinations:       resp.Stats.Combinations,
 			FeaturesPulled:     resp.Stats.FeaturesPulled,
 			ObjectsScored:      resp.Stats.ObjectsScored,
-			ShardFanout:        resp.Stats.ShardFanout,
-			ShardPruned:        resp.Stats.ShardPruned,
 			ApproxCandidates:   resp.Stats.ApproxCandidates,
 			ApproxPruned:       resp.Stats.ApproxPruned,
 			ApproxSkippedReads: resp.Stats.ApproxSkippedReads,

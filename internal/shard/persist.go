@@ -1,11 +1,11 @@
 package shard
 
-// persist.go makes sharded engines durable: Save dumps every sub-engine
-// object index and every feature part as page files plus a JSON manifest
-// carrying the partitioning (Hilbert boundary keys or grid geometry) and
-// per-shard metadata; Open reverses it. The partitioning round-trips
-// exactly — it is pure data (see partition.go) — so an opened engine
-// assigns any future point to the same cell as the engine that saved it.
+// persist.go makes sharded builds durable: Save dumps every per-cell object
+// index and every feature part as page files plus a JSON manifest carrying
+// the partitioning (Hilbert boundary keys or grid geometry) and per-cell
+// metadata; Open reverses it. The partitioning round-trips exactly — it is
+// pure data (see partition.go) — so an opened build assigns any future
+// point to the same cell as the build that saved it.
 
 import (
 	"encoding/json"
@@ -14,26 +14,22 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 
-	"stpq/internal/core"
-	"stpq/internal/geo"
 	"stpq/internal/index"
+	"stpq/internal/storage"
 )
 
-// ManifestName is the sharded-engine manifest file inside the save
+// ManifestName is the sharded-build manifest file inside the save
 // directory, distinct from the top-level DB manifest.
 const ManifestName = "shards.json"
 
-// shardMeta describes one persisted sub-engine.
+// shardMeta describes one persisted object part.
 type shardMeta struct {
-	Cell    int        `json:"cell"`
-	Count   int        `json:"count"`
-	Rect    geo.Rect   `json:"rect"`
+	cellMeta
 	Objects index.Meta `json:"objects"`
 }
 
-// manifest is the on-disk description of a sharded engine. The partition
+// manifest is the on-disk description of a sharded build. The partition
 // section is the exported PartitionMeta (partition.go), shared with the
 // cluster partition map so both speak the same JSON.
 type manifest struct {
@@ -45,29 +41,31 @@ type manifest struct {
 	Features [][]index.Meta `json:"features"`
 }
 
-// Save writes the engine into dir (created if needed): one page dump per
-// sub-engine object index (objects_shardNN.pages), one per feature part
-// (features_S_partNN.pages), and the shard manifest.
-func (e *Engine) Save(dir string) error {
+// Save writes the build into dir (created if needed): one page dump per
+// object part (objects_shardNN.pages), one per feature part
+// (features_S_partNN.pages), and then the shard manifest, replaced
+// atomically. Every page file is written before the manifest, so a
+// failure partway leaves no new manifest pointing at missing pages.
+func (s *Shards) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("shard: save: %w", err)
 	}
 	man := manifest{
 		Version:   1,
-		Total:     e.total,
-		Partition: e.part.meta(),
+		Total:     s.Total,
+		Partition: s.part.meta(),
 	}
-	for _, s := range e.shards {
-		meta, err := dumpIndex(filepath.Join(dir, fmt.Sprintf("objects_shard%02d.pages", s.id)), s.eng.Objects().Save)
+	for id, oidx := range s.Objects {
+		meta, err := dumpIndex(filepath.Join(dir, objectsFile(id)), oidx.Save)
 		if err != nil {
 			return err
 		}
-		man.Shards = append(man.Shards, shardMeta{Cell: s.cell, Count: s.count, Rect: s.rect, Objects: meta})
+		man.Shards = append(man.Shards, shardMeta{cellMeta: s.cells[id], Objects: meta})
 	}
-	for i, g := range e.groups {
+	for i, g := range s.Groups {
 		metas := make([]index.Meta, len(g.Parts()))
 		for j, p := range g.Parts() {
-			meta, err := dumpIndex(filepath.Join(dir, fmt.Sprintf("features_%d_part%02d.pages", i, j)), p.Save)
+			meta, err := dumpIndex(filepath.Join(dir, featuresFile(i, j)), p.Save)
 			if err != nil {
 				return err
 			}
@@ -79,17 +77,16 @@ func (e *Engine) Save(dir string) error {
 	if err != nil {
 		return fmt.Errorf("shard: save manifest: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+	if err := storage.WriteFileAtomic(filepath.Join(dir, ManifestName), data); err != nil {
 		return fmt.Errorf("shard: save manifest: %w", err)
 	}
 	return nil
 }
 
-// Open loads an engine previously written by Save. opts supplies the
-// runtime knobs (parallelism, core options, metrics); the structural
-// options (partitioning, index geometry) come from the manifest and page
-// dumps.
-func Open(dir string, opts Options) (*Engine, error) {
+// Open loads a build previously written by Save, giving every index a
+// buffer pool of bufferPages pages; the structural options (partitioning,
+// index geometry) come from the manifest and page dumps.
+func Open(dir string, bufferPages int) (*Shards, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, fmt.Errorf("shard: open: %w", err)
@@ -104,13 +101,12 @@ func Open(dir string, opts Options) (*Engine, error) {
 	if len(man.Shards) == 0 {
 		return nil, errors.New("shard: manifest has no shards")
 	}
-	buffer := opts.Index.BufferPages
 
-	groups := make([]*index.FeatureGroup, len(man.Features))
+	s := &Shards{Groups: make([]*index.FeatureGroup, len(man.Features)), Total: man.Total, part: man.Partition.runtime()}
 	for i, metas := range man.Features {
 		parts := make([]*index.FeatureIndex, len(metas))
 		for j, meta := range metas {
-			parts[j], err = loadIndex(filepath.Join(dir, fmt.Sprintf("features_%d_part%02d.pages", i, j)), meta, buffer, index.OpenFeatureIndex)
+			parts[j], err = loadIndex(filepath.Join(dir, featuresFile(i, j)), meta, bufferPages, index.OpenFeatureIndex)
 			if err != nil {
 				return nil, err
 			}
@@ -119,39 +115,22 @@ func Open(dir string, opts Options) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		groups[i] = g
-	}
-
-	coreOpts := opts.Core
-	coreOpts.Metrics = nil // the sharded engine observes the merged query
-	e := &Engine{
-		groups: groups,
-		total:  man.Total,
-		opts:   opts,
-		part:   man.Partition.runtime(),
-		trace:  &atomic.Bool{},
-	}
-	e.trace.Store(coreOpts.Trace)
-	if opts.Metrics != nil {
-		e.fanout = opts.Metrics.Counter("stpq_shard_fanout_total")
-		e.pruned = opts.Metrics.Counter("stpq_shard_pruned_total")
+		s.Groups[i] = g
 	}
 	for id, sm := range man.Shards {
-		oidx, err := loadIndex(filepath.Join(dir, fmt.Sprintf("objects_shard%02d.pages", id)), sm.Objects, buffer, index.OpenObjectIndex)
+		oidx, err := loadIndex(filepath.Join(dir, objectsFile(id)), sm.Objects, bufferPages, index.OpenObjectIndex)
 		if err != nil {
 			return nil, err
 		}
-		sub, err := core.NewEngineWithGroups(oidx, groups, coreOpts)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Metrics != nil {
-			oidx.AttachMetrics(opts.Metrics, fmt.Sprintf("objects_shard%02d", id))
-		}
-		e.shards = append(e.shards, &subShard{id: id, cell: sm.Cell, eng: sub, rect: sm.Rect, count: sm.Count})
+		s.Objects = append(s.Objects, oidx)
+		s.cells = append(s.cells, sm.cellMeta)
 	}
-	return e, nil
+	return s, nil
 }
+
+// objectsFile and featuresFile name the page dumps inside a save directory.
+func objectsFile(id int) string         { return fmt.Sprintf("objects_shard%02d.pages", id) }
+func featuresFile(set, part int) string { return fmt.Sprintf("features_%d_part%02d.pages", set, part) }
 
 // dumpIndex writes one index's pages to a file.
 func dumpIndex(path string, dump func(w io.Writer) (index.Meta, error)) (index.Meta, error) {

@@ -7,7 +7,6 @@ import (
 	"stpq/internal/core"
 	"stpq/internal/datagen"
 	"stpq/internal/index"
-	"stpq/internal/obs"
 )
 
 // testData generates a small clustered world shared by the tests.
@@ -43,14 +42,20 @@ func buildUnsharded(t *testing.T, ds *datagen.Dataset, kind index.Kind) *core.En
 	return eng
 }
 
-func buildSharded(t *testing.T, ds *datagen.Dataset, kind index.Kind, opts Options) *Engine {
+// buildSharded builds the sharded layout of ds and the one engine that
+// searches every cell's object tree together.
+func buildSharded(t *testing.T, ds *datagen.Dataset, kind index.Kind, opts Options) (*Shards, *core.Engine) {
 	t.Helper()
 	opts.Index = index.Options{Kind: kind, VocabWidth: ds.VocabWidth, PageSize: 1024}
-	eng, err := New(ds.Objects, ds.FeatureSets, opts)
+	s, err := New(ds.Objects, ds.FeatureSets, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng
+	eng, err := core.NewEngineWithParts(s.Objects, s.Total, s.Groups, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, eng
 }
 
 func testQueries(ds *datagen.Dataset, variant core.Variant, seed int64) []core.Query {
@@ -118,8 +123,8 @@ func TestNewValidation(t *testing.T) {
 
 // TestShardedMatchesUnsharded is the core equivalence guarantee: for both
 // index kinds, all three variants, both algorithms and several shard
-// counts, the sharded engine returns byte-identical results — same scores
-// AND same tie-break order — as the single engine.
+// counts, the engine over the per-cell object trees returns byte-identical
+// results — same scores AND same tie-break order — as the single engine.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	ds := testData(44)
 	for _, kind := range []index.Kind{index.IR2, index.SRT} {
@@ -129,7 +134,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			if shards == 4 {
 				strategy = FixedGrid
 			}
-			sharded := buildSharded(t, ds, kind, Options{Shards: shards, Strategy: strategy, Parallelism: 2})
+			_, sharded := buildSharded(t, ds, kind, Options{Shards: shards, Strategy: strategy})
 			for _, variant := range []core.Variant{core.RangeScore, core.InfluenceScore, core.NearestNeighborScore} {
 				for qi, q := range testQueries(ds, variant, 100+int64(shards)) {
 					want, _, err := single.STDS(q)
@@ -164,25 +169,34 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestUpperBoundIsSound: no result produced by a shard may exceed the
-// bound the gather phase ordered it by.
+// TestUpperBoundIsSound: no object may score above the bound a cluster
+// node reports for it — neither on the engine over every cell nor on an
+// engine over one cell's object tree with the shared feature groups.
 func TestUpperBoundIsSound(t *testing.T) {
 	ds := testData(45)
-	sharded := buildSharded(t, ds, index.IR2, Options{Shards: 4})
+	s, all := buildSharded(t, ds, index.IR2, Options{Shards: 4})
+	engines := []*core.Engine{all}
+	for _, oidx := range s.Objects {
+		cell, err := core.NewEngineWithParts([]*index.ObjectIndex{oidx}, oidx.Len(), s.Groups, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, cell)
+	}
 	for _, variant := range []core.Variant{core.RangeScore, core.InfluenceScore, core.NearestNeighborScore} {
 		for _, q := range testQueries(ds, variant, 200) {
-			for _, sub := range sharded.shards {
-				bound, err := sub.eng.UpperBound(q, sub.rect)
+			for i, eng := range engines {
+				bound, err := eng.UpperBoundAll(q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, _, err := sub.eng.STDS(q)
+				res, _, err := eng.STDS(q)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, r := range res {
 					if r.Score > bound+1e-9 {
-						t.Fatalf("%v shard %d: score %v exceeds bound %v", variant, sub.id, r.Score, bound)
+						t.Fatalf("%v engine %d: score %v exceeds bound %v", variant, i, r.Score, bound)
 					}
 				}
 			}
@@ -190,59 +204,12 @@ func TestUpperBoundIsSound(t *testing.T) {
 	}
 }
 
-// TestShardMetricsAndTrace checks the scatter counters and the merged span
-// tree.
-func TestShardMetricsAndTrace(t *testing.T) {
-	ds := testData(46)
-	reg := obs.NewRegistry()
-	sharded := buildSharded(t, ds, index.IR2, Options{Shards: 4, Metrics: reg})
-	sharded.SetTrace(true)
-	q := testQueries(ds, core.RangeScore, 300)[0]
-	_, st, err := sharded.STDS(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fan := reg.Counter("stpq_shard_fanout_total").Value()
-	pruned := reg.Counter("stpq_shard_pruned_total").Value()
-	if fan+pruned != int64(sharded.NumShards()) {
-		t.Fatalf("fanout %d + pruned %d != shards %d", fan, pruned, sharded.NumShards())
-	}
-	if fan < 1 {
-		t.Fatal("at least one shard must be queried")
-	}
-	if st.Trace == nil {
-		t.Fatal("trace missing with tracing on")
-	}
-	if st.Trace.Counters["shards_fanout"] != fan {
-		t.Fatalf("trace fanout %d, counter %d", st.Trace.Counters["shards_fanout"], fan)
-	}
-	if len(st.Trace.Children) != int(fan) {
-		t.Fatalf("trace has %d shard spans, fanout %d", len(st.Trace.Children), fan)
-	}
-	for _, child := range st.Trace.Children {
-		if len(child.Children) != 1 {
-			t.Fatalf("shard span %s missing per-shard trace", child.Name)
-		}
-	}
-	sharded.SetTrace(false)
-	_, st, err = sharded.STDS(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Trace != nil {
-		t.Fatal("trace present with tracing off")
-	}
-	if st.CPUTime <= 0 {
-		t.Fatal("missing wall-clock CPU time")
-	}
-}
-
-// TestExactScoreMatchesEngine: the sharded score oracle must agree with a
-// full single-engine oracle at arbitrary locations.
+// TestExactScoreMatchesEngine: the score oracle over the per-cell feature
+// parts must agree with the single-engine oracle at arbitrary locations.
 func TestExactScoreMatchesEngine(t *testing.T) {
 	ds := testData(47)
 	single := buildUnsharded(t, ds, index.IR2)
-	sharded := buildSharded(t, ds, index.IR2, Options{Shards: 3})
+	_, sharded := buildSharded(t, ds, index.IR2, Options{Shards: 3})
 	for _, variant := range []core.Variant{core.RangeScore, core.InfluenceScore, core.NearestNeighborScore} {
 		q := testQueries(ds, variant, 400)[0]
 		for _, o := range ds.Objects[:25] {

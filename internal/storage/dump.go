@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
 )
 
 // dumpMagic guards page-dump files against foreign input.
@@ -71,4 +72,16 @@ func LoadMemDisk(r io.Reader) (*MemDisk, error) {
 		}
 	}
 	return d, nil
+}
+
+// WriteFileAtomic writes data to path via a temp file and rename, so
+// readers (and crash recovery) see either the old contents or the new,
+// never a torn write. Manifests that point at page dumps are written with
+// it, after the dumps themselves.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
 }

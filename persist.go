@@ -12,6 +12,7 @@ import (
 	"stpq/internal/index"
 	"stpq/internal/obs"
 	"stpq/internal/shard"
+	"stpq/internal/storage"
 )
 
 // dbManifest is the on-disk description of a saved DB.
@@ -85,10 +86,10 @@ func (db *DB) loadShapes(dir string) error {
 }
 
 // Save writes the built DB to a directory: one page dump per index plus a
-// JSON manifest. Sharded DBs persist their sub-engines and partitioning
-// alongside. The directory is created if needed. Signature-mode DBs
-// (Config.SignatureBits > 0) cannot be saved yet, and a DB with unmerged
-// live-ingest mutations must Flush or Checkpoint first.
+// JSON manifest. Sharded DBs persist their per-cell indexes and
+// partitioning alongside. The directory is created if needed.
+// Signature-mode DBs (Config.SignatureBits > 0) cannot be saved yet, and a
+// DB with unmerged live-ingest mutations must Flush or Checkpoint first.
 //
 // Together with Open, Save makes index construction a one-off cost: a
 // 100K-feature SRT-index reopens in milliseconds.
@@ -106,10 +107,10 @@ func (db *DB) Save(dir string) error {
 		// only the merged base is a saveable generation.
 		return errors.New("stpq: unmerged mutations pending; call Flush or Checkpoint instead of Save")
 	}
-	eng, ok := db.engine.(*core.Engine)
-	if !ok {
+	if db.shards != nil {
 		return db.saveShardedLocked(dir)
 	}
+	eng := db.engine
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("stpq: save: %w", err)
 	}
@@ -137,23 +138,20 @@ func (db *DB) Save(dir string) error {
 	if err != nil {
 		return fmt.Errorf("stpq: save manifest: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(dir, manifestName), data); err != nil {
+	if err := storage.WriteFileAtomic(filepath.Join(dir, manifestName), data); err != nil {
 		return fmt.Errorf("stpq: save manifest: %w", err)
 	}
 	return db.SaveShapes(dir)
 }
 
-// saveShardedLocked persists a sharded DB: the top-level manifest carries
-// the config, vocabulary and set names as usual, and the shard package
-// writes the per-shard sub-indexes plus the partitioning metadata
-// alongside it. Callers hold db.mu.
+// saveShardedLocked persists a sharded DB: the shard package writes the
+// per-cell page dumps and then shards.json, and only then does the
+// top-level manifest (config, vocabulary, set names) land, atomically — a
+// failure partway never leaves a manifest pointing at missing pages.
+// Callers hold db.mu.
 func (db *DB) saveShardedLocked(dir string) error {
-	eng, ok := db.engine.(*shard.Engine)
-	if !ok {
-		return fmt.Errorf("stpq: cannot save engine of type %T", db.engine)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("stpq: save: %w", err)
+	if err := db.shards.Save(dir); err != nil {
+		return err
 	}
 	man := dbManifest{
 		Version:    1,
@@ -166,11 +164,8 @@ func (db *DB) saveShardedLocked(dir string) error {
 	if err != nil {
 		return fmt.Errorf("stpq: save manifest: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+	if err := storage.WriteFileAtomic(filepath.Join(dir, manifestName), data); err != nil {
 		return fmt.Errorf("stpq: save manifest: %w", err)
-	}
-	if err := eng.Save(dir); err != nil {
-		return err
 	}
 	return db.SaveShapes(dir)
 }
@@ -188,31 +183,16 @@ func openSharded(dir string, man dbManifest) (*DB, error) {
 	for _, name := range man.SetNames {
 		db.sets[name] = nil // names registered; raw features not retained
 	}
-	eng, err := shard.Open(dir, shard.Options{
-		Shards:      man.Config.ShardCount,
-		Strategy:    shard.Strategy(man.Config.ShardStrategy),
-		Parallelism: man.Config.ShardParallelism,
-		Index: index.Options{
-			Kind:        index.Kind(man.Config.IndexKind),
-			VocabWidth:  db.vocab.Size(),
-			PageSize:    man.Config.PageSize,
-			BufferPages: man.Config.BufferPages,
-			PoolStripes: man.Config.PoolStripes,
-		},
-		Core:      man.Config.coreOptions(nil, nil),
-		Metrics:   db.metrics,
-		Telemetry: db.tel,
-	})
+	shards, err := shard.Open(dir, man.Config.BufferPages)
 	if err != nil {
 		return nil, err
 	}
-	if got := len(eng.FeatureGroups()); got != len(man.SetNames) {
-		return nil, fmt.Errorf("stpq: shard manifest has %d feature groups for %d set names", got, len(man.SetNames))
+	if err := db.useShardsLocked(shards); err != nil {
+		return nil, err
 	}
 	for i, name := range man.SetNames {
-		eng.FeatureGroups()[i].AttachMetrics(db.metrics, poolLabel(name))
+		db.engine.FeatureGroups()[i].AttachMetrics(db.metrics, poolLabel(name))
 	}
-	db.engine = eng
 	db.built = true
 	db.gen = 1
 	db.walSeq = man.AppliedSeq
@@ -230,17 +210,6 @@ func pageFile(base string, gen uint64) string {
 		return base + ".pages"
 	}
 	return fmt.Sprintf("%s.%016x.pages", base, gen)
-}
-
-// writeFileAtomic writes data to path via a temp file and rename, so
-// readers (and crash recovery) see either the old contents or the new,
-// never a torn write.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // ckptPin is the state a Checkpoint captures under the DB locks: the
@@ -324,7 +293,7 @@ func (p *ckptPin) save(dir string) error {
 	if err != nil {
 		return fmt.Errorf("stpq: checkpoint manifest: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(dir, manifestName), data); err != nil {
+	if err := storage.WriteFileAtomic(filepath.Join(dir, manifestName), data); err != nil {
 		return fmt.Errorf("stpq: checkpoint manifest: %w", err)
 	}
 	gcPageFiles(dir, keep)

@@ -1,18 +1,30 @@
 package stpq
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
+
+	"stpq/internal/shard"
 )
 
 // shardTestData builds deterministic random objects and two feature sets
 // for the sharded-vs-single comparisons.
 func shardTestData(seed int64) ([]Object, []Feature, []Feature, []string) {
+	return shardTestDataSized(seed, 400, 350, 300)
+}
+
+// shardTestDataSized is shardTestData with explicit cardinalities: nObj
+// objects, nFood and nCafes features.
+func shardTestDataSized(seed int64, nObj, nFood, nCafes int) ([]Object, []Feature, []Feature, []string) {
 	rng := rand.New(rand.NewSource(seed))
 	words := []string{"pizza", "sushi", "tacos", "ramen", "bagels", "pho", "curry", "bbq",
 		"espresso", "latte", "tea", "cocoa"}
-	objs := make([]Object, 400)
+	objs := make([]Object, nObj)
 	for i := range objs {
 		objs[i] = Object{ID: int64(i), X: rng.Float64(), Y: rng.Float64()}
 	}
@@ -26,7 +38,7 @@ func shardTestData(seed int64) ([]Object, []Feature, []Feature, []string) {
 		}
 		return feats
 	}
-	return objs, mk(350), mk(300), words
+	return objs, mk(nFood), mk(nCafes), words
 }
 
 func buildShardTestDB(t *testing.T, cfg Config, objs []Object, food, cafes []Feature) *DB {
@@ -41,7 +53,7 @@ func buildShardTestDB(t *testing.T, cfg Config, objs []Object, food, cafes []Fea
 	return db
 }
 
-// TestShardedDBMatchesSingle drives the sharded engine through the public
+// TestShardedDBMatchesSingle drives the sharded layout through the public
 // DB API: for both index kinds, all three variants, both algorithms and
 // several shard counts, results must be byte-identical (scores and order)
 // to the unsharded build of the same data.
@@ -56,7 +68,7 @@ func TestShardedDBMatchesSingle(t *testing.T) {
 			}
 			sharded := buildShardTestDB(t, Config{
 				IndexKind: kind, PageSize: 1024,
-				ShardCount: shards, ShardStrategy: strategy, ShardParallelism: 2,
+				ShardCount: shards, ShardStrategy: strategy,
 			}, objs, food, cafes)
 			rng := rand.New(rand.NewSource(int64(shards)))
 			for _, variant := range []Variant{Range, Influence, NearestNeighbor} {
@@ -120,9 +132,19 @@ func TestShardedDBSurface(t *testing.T) {
 	if _, _, err := db.TopK(q); err != nil {
 		t.Fatal(err)
 	}
+	// One engine answers over every cell: the query is observed once, and
+	// its object reads land in the per-cell object pools.
 	m := db.Metrics()
-	if m.Counters["stpq_shard_fanout_total"]+m.Counters["stpq_shard_pruned_total"] == 0 {
-		t.Fatal("shard scatter counters missing from DB metrics")
+	if n := m.Counters[`stpq_queries_total{alg="stps",variant="range"}`]; n != 1 {
+		t.Fatalf("sharded query observed %d times, want 1", n)
+	}
+	var objReads int64
+	for i := 0; i < snap.NumShards(); i++ {
+		label := fmt.Sprintf(`{pool="objects_shard%02d"}`, i)
+		objReads += m.Counters["stpq_bufferpool_hits_total"+label] + m.Counters["stpq_bufferpool_misses_total"+label]
+	}
+	if snap.NumShards() < 2 || objReads == 0 {
+		t.Fatalf("per-cell object pool metrics missing: %d shards, %d reads", snap.NumShards(), objReads)
 	}
 	// Save/open round trip: the reopened sharded DB must answer every
 	// query identically to the engine that saved it.
@@ -157,5 +179,118 @@ func TestShardedDBSurface(t *testing.T) {
 	}
 	if _, _, err := db.TopK(q); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShardedReadAmplification guards the cost of the sharded layout: one
+// engine over the per-cell object trees generates each feature combination
+// once, so its STPS logical reads stay within a small factor of the
+// unsharded DB's on the same queries — the per-cell roots and partly
+// filled cell trees are the only extra pages. Re-running the whole query
+// once per cell would cost about S times the reads and fail the bound.
+func TestShardedReadAmplification(t *testing.T) {
+	objs, food, cafes, words := shardTestDataSized(31, 2000, 2000, 2000)
+	single := buildShardTestDB(t, Config{PageSize: 1024}, objs, food, cafes)
+	for _, tc := range []struct {
+		shards int
+		bound  float64
+	}{{4, 2}, {8, 3}} {
+		sharded := buildShardTestDB(t, Config{PageSize: 1024, ShardCount: tc.shards}, objs, food, cafes)
+		for _, variant := range []struct {
+			v    Variant
+			name string
+		}{{Range, "range"}, {Influence, "influence"}} {
+			rng := rand.New(rand.NewSource(5))
+			var want, got int64
+			for i := 0; i < 12; i++ {
+				q := Query{
+					K: 8, Radius: 0.03, Lambda: 0.5, Variant: variant.v,
+					Keywords: map[string][]string{
+						"food":  {words[rng.Intn(len(words))], words[rng.Intn(len(words))]},
+						"cafes": {words[rng.Intn(len(words))]},
+					},
+				}
+				_, st, err := single.TopK(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want += st.LogicalReads
+				_, st, err = sharded.TopK(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got += st.LogicalReads
+			}
+			ratio := float64(got) / float64(want)
+			t.Logf("S=%d %s: %d sharded vs %d unsharded logical reads (%.2fx)", tc.shards, variant.name, got, want, ratio)
+			if ratio > tc.bound {
+				t.Errorf("S=%d %s: sharded STPS reads %.2fx the unsharded DB's, bound %.1fx", tc.shards, variant.name, ratio, tc.bound)
+			}
+		}
+	}
+}
+
+// TestShardedSaveWritesManifestsLast: Save writes every page dump before
+// shards.json and the DB manifest, so a failure partway through leaves no
+// manifest pointing at missing pages.
+func TestShardedSaveWritesManifestsLast(t *testing.T) {
+	objs, food, cafes, _ := shardTestData(9)
+	db := buildShardTestDB(t, Config{ShardCount: 4, PageSize: 1024}, objs, food, cafes)
+	dir := t.TempDir()
+	// A directory where the second object dump belongs makes its create fail.
+	if err := os.Mkdir(filepath.Join(dir, "objects_shard01.pages"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Save(dir); err == nil {
+		t.Fatal("Save over a blocked page path succeeded")
+	}
+	for _, name := range []string{manifestName, shard.ManifestName} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("failed Save left %s behind (stat: %v)", name, err)
+		}
+	}
+}
+
+// TestOpenShardedSavedByEarlierFormat opens testdata/sharded_v1: a 3-shard
+// DB saved from shardTestData(21) while Config still had a
+// ShardParallelism field, which its manifest carries. It must open and
+// answer every variant and algorithm byte-identically to an unsharded
+// build of the same data.
+func TestOpenShardedSavedByEarlierFormat(t *testing.T) {
+	opened, err := Open(filepath.Join("testdata", "sharded_v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := opened.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.NumShards() != 3 {
+		t.Fatalf("opened %d shards, want 3", snap.NumShards())
+	}
+	objs, food, cafes, words := shardTestData(21)
+	single := buildShardTestDB(t, Config{PageSize: 1024}, objs, food, cafes)
+	rng := rand.New(rand.NewSource(3))
+	for _, variant := range []Variant{Range, Influence, NearestNeighbor} {
+		for _, alg := range []Algorithm{STPS, STDS} {
+			q := Query{
+				K: 8, Radius: 0.06, Lambda: 0.5, Variant: variant, Algorithm: alg,
+				Keywords: map[string][]string{
+					"food":  {words[rng.Intn(len(words))], words[rng.Intn(len(words))]},
+					"cafes": {words[rng.Intn(len(words))]},
+				},
+			}
+			want, _, err := single.TopK(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := opened.TopK(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v %v: opened sharded DB diverges:\n got %v\nwant %v", variant, alg, got, want)
+			}
+		}
 	}
 }

@@ -22,17 +22,17 @@ import (
 	"stpq/internal/kwset"
 	"stpq/internal/obs"
 	"stpq/internal/plan"
-	"stpq/internal/shard"
 )
 
 // Snapshot is an immutable handle onto a built DB's indexes. It is safe
 // for concurrent use: any number of goroutines may call TopK on the same
 // Snapshot, and a Snapshot keeps working after the DB is rebuilt.
 type Snapshot struct {
-	engine queryEngine
+	engine *core.Engine
 	vocab  *kwset.Vocabulary
 	names  []string
 	gen    uint64
+	shards int
 	tel    *obs.Telemetry
 }
 
@@ -44,7 +44,11 @@ func (db *DB) Snapshot() (*Snapshot, error) {
 	if !db.built {
 		return nil, fmt.Errorf("%w: Snapshot before Build", ErrNotBuilt)
 	}
-	return &Snapshot{engine: db.engine, vocab: db.vocab, names: db.setNames, gen: db.gen, tel: db.tel}, nil
+	shards := 1
+	if db.shards != nil {
+		shards = len(db.shards.Objects)
+	}
+	return &Snapshot{engine: db.engine, vocab: db.vocab, names: db.setNames, gen: db.gen, shards: shards, tel: db.tel}, nil
 }
 
 // Generation returns the build generation the snapshot was taken at: 1
@@ -63,14 +67,9 @@ func (s *Snapshot) FeatureSetNames() []string {
 // NumObjects returns the number of indexed data objects.
 func (s *Snapshot) NumObjects() int { return s.engine.NumObjects() }
 
-// NumShards returns the number of sub-engines serving this snapshot (1 on
-// an unsharded DB).
-func (s *Snapshot) NumShards() int {
-	if e, ok := s.engine.(*shard.Engine); ok {
-		return e.NumShards()
-	}
-	return 1
-}
+// NumShards returns the number of cell object trees the snapshot's engine
+// searches (1 on an unsharded DB).
+func (s *Snapshot) NumShards() int { return s.shards }
 
 // NumFeatures returns the number of features per set, keyed by set name.
 func (s *Snapshot) NumFeatures() map[string]int {
@@ -105,20 +104,15 @@ func (s *Snapshot) planner() plan.Planner {
 }
 
 // resolve turns the query's algorithm choice (possibly Auto) into the
-// concrete algorithm and applies the planner's fan-out decision to the
-// lowered query. The fast path — a forced algorithm on an unsharded
-// engine — bypasses the planner entirely, so existing callers pay nothing.
+// concrete algorithm. A forced algorithm bypasses the planner entirely, so
+// existing callers pay nothing.
 func (s *Snapshot) resolve(q Query, cq *core.Query) string {
 	forced := forcedAlg(q.Algorithm)
-	eng, sharded := s.engine.(*shard.Engine)
-	if forced != "" && !sharded {
+	if forced != "" {
 		return forced
 	}
 	p := s.planner()
-	alg, cost, known := p.Resolve(core.QueryShapeKey("", cq), forced)
-	if sharded {
-		cq.Fanout = p.FanoutWidth(cost, known, eng.NumShards())
-	}
+	alg, _, _ := p.Resolve(core.QueryShapeKey("", cq), forced)
 	return alg
 }
 
@@ -145,7 +139,7 @@ func (s *Snapshot) TopK(q Query) ([]Result, Stats, error) {
 	}
 	if a := cq.Approx; a != nil {
 		// The request's counters hold the whole logical query's totals
-		// (shard sub-queries alias the same request), loaded exactly once
+		// (session copies alias the same request), loaded exactly once
 		// here.
 		st.ApproxCandidates = a.Candidates.Load()
 		st.ApproxPruned = a.Pruned.Load()
@@ -168,8 +162,8 @@ func (s *Snapshot) TopK(q Query) ([]Result, Stats, error) {
 // UpperBound returns an admissible upper bound on the best score any
 // object of this snapshot can reach under the query: no indexed object
 // scores strictly above it. A cluster node answers the coordinator's
-// scatter probe with it, turning the sharded engine's wave-pruning rule
-// into a network protocol.
+// scatter probe with it, and the coordinator prunes the nodes whose bound
+// the merged k-th score strictly beats.
 func (s *Snapshot) UpperBound(q Query) (float64, error) {
 	cq, err := s.toCoreQuery(q)
 	if err != nil {
@@ -209,8 +203,8 @@ func (s *Snapshot) toCoreQuery(q Query) (core.Query, error) {
 		Trace:      core.TraceMode(q.Trace),
 	}
 	if q.Mode == ModeApprox {
-		// One request per logical query: shard fan-out and session copies
-		// alias it, so its atomic counters aggregate the whole execution.
+		// One request per logical query: session copies alias it, so its
+		// atomic counters aggregate the whole execution.
 		cq.Approx = approx.NewRequest(q.Recall)
 	}
 	return cq, nil
@@ -258,8 +252,8 @@ func (s *Snapshot) PredictCost(q Query) (shape string, cost time.Duration, known
 }
 
 // PlanQuery reports the planner's full decision for the query — chosen
-// algorithm, reason, predicted cost, the alternatives considered and the
-// scatter fan-out width — without executing it. DB.Explain embeds the same
+// algorithm, reason, predicted cost and the alternatives considered —
+// without executing it. DB.Explain embeds the same
 // decision.
 func (s *Snapshot) PlanQuery(q Query) (*PlanDecision, error) {
 	cq, err := s.toCoreQuery(q)
@@ -274,11 +268,7 @@ func (s *Snapshot) PlanQuery(q Query) (*PlanDecision, error) {
 // decide computes the full planner decision for a validated query.
 func (s *Snapshot) decide(q Query, cq *core.Query) plan.Decision {
 	p := s.planner()
-	d := p.Decide(core.QueryShapeKey("", cq), forcedAlg(q.Algorithm))
-	if eng, ok := s.engine.(*shard.Engine); ok {
-		d.Fanout = p.FanoutWidth(d.Cost, d.CostKnown, eng.NumShards())
-	}
-	return d
+	return p.Decide(core.QueryShapeKey("", cq), forcedAlg(q.Algorithm))
 }
 
 // Rebuild reconstructs the indexes from the raw objects and feature sets —

@@ -214,16 +214,15 @@ type Config struct {
 	// SlowLogEntries sizes the slow-query ring (0 = default 128, negative
 	// disables the slow log).
 	SlowLogEntries int
-	// ShardCount > 1 partitions the data spatially into that many
-	// self-contained sub-engines and answers queries by parallel
-	// scatter-gather with per-shard bound pruning. Results are identical
-	// to the single-engine build. 0 or 1 keeps the single engine.
+	// ShardCount > 1 partitions the data spatially into that many cells,
+	// each with its own object R-tree and feature-index parts, and
+	// answers queries with one engine that searches every cell's object
+	// tree together (feature combinations are generated once). It fixes
+	// the on-disk layout of a saved DB. Results are identical to the
+	// single-tree build. 0 or 1 keeps the single tree.
 	ShardCount int
 	// ShardStrategy selects the partitioner when ShardCount > 1.
 	ShardStrategy ShardStrategy
-	// ShardParallelism bounds how many shards one query fans out to
-	// concurrently (default GOMAXPROCS).
-	ShardParallelism int
 	// WALDir, when non-empty, attaches a write-ahead log in that
 	// directory at Build/Open time, enabling the live write path (Apply,
 	// Flush, Checkpoint) with crash recovery: existing log records past
@@ -348,10 +347,6 @@ type Stats struct {
 	Combinations   int
 	FeaturesPulled int
 	ObjectsScored  int
-	// ShardFanout and ShardPruned count shards queried / skipped by the
-	// scatter-gather of a sharded DB; zero on unsharded DBs.
-	ShardFanout int
-	ShardPruned int
 	// ApproxCandidates, ApproxPruned and ApproxSkippedReads report the
 	// approximate tier's work on a Mode: ModeApprox query: leaf features
 	// checked against the MinHash sketch, those the LSH band filter
@@ -369,21 +364,6 @@ type Stats struct {
 // Total returns CPU plus modeled I/O time.
 func (s Stats) Total() time.Duration { return s.CPUTime + s.IOTime }
 
-// queryEngine is the query surface shared by the single engine
-// (core.Engine) and the sharded engine (shard.Engine). Everything above
-// this interface — snapshots, serving, metrics, tracing — works
-// identically for both.
-type queryEngine interface {
-	STDS(core.Query) ([]core.Result, core.Stats, error)
-	STPS(core.Query) ([]core.Result, core.Stats, error)
-	ExactScore(core.Query, geo.Point) (float64, error)
-	UpperBoundAll(core.Query) (float64, error)
-	FeatureGroups() []*index.FeatureGroup
-	NumObjects() int
-	SetTrace(bool)
-	PrecomputeVoronoiCells() error
-}
-
 // DB is a queryable collection of data objects and named feature sets.
 // Populate it with AddObjects/AddFeatureSet, call Build, then query with
 // TopK. After Build, a DB is safe for concurrent use and queries run in
@@ -398,7 +378,10 @@ type DB struct {
 	objects  []Object
 	setNames []string
 	sets     map[string][]Feature
-	engine   queryEngine
+	engine   *core.Engine
+	// shards is the per-cell layout of a sharded DB (what Save writes),
+	// nil when unsharded.
+	shards   *shard.Shards
 	metrics  *obs.Registry
 	tel      *obs.Telemetry
 	inverted map[string]*invindex.Index
@@ -565,20 +548,17 @@ func (db *DB) buildLocked() error {
 		featSets[i] = feats
 	}
 	if db.cfg.ShardCount > 1 {
-		eng, err := shard.New(objs, featSets, shard.Options{
-			Shards:      db.cfg.ShardCount,
-			Strategy:    shard.Strategy(db.cfg.ShardStrategy),
-			Parallelism: db.cfg.ShardParallelism,
-			Index:       opts,
-			Core:        db.cfg.coreOptions(nil, nil),
-			Metrics:     db.metrics,
-			Telemetry:   db.tel,
+		shards, err := shard.New(objs, featSets, shard.Options{
+			Shards:   db.cfg.ShardCount,
+			Strategy: shard.Strategy(db.cfg.ShardStrategy),
+			Index:    opts,
 		})
 		if err != nil {
-			return fmt.Errorf("stpq: building sharded engine: %w", err)
+			return fmt.Errorf("stpq: building sharded indexes: %w", err)
 		}
-		db.engine = eng
-		db.base = nil
+		if err := db.useShardsLocked(shards); err != nil {
+			return err
+		}
 	} else {
 		oidx, err := index.BuildObjectIndex(objs, opts)
 		if err != nil {
@@ -598,10 +578,11 @@ func (db *DB) buildLocked() error {
 		}
 		db.engine = eng
 		db.base = eng
+		db.shards = nil
 	}
 	db.rebuildLocMapsLocked()
-	// Feature pool metrics attach to the groups, which both engine kinds
-	// expose (sharded groups add a _partNN suffix per cell).
+	// Feature pool metrics attach to the groups (sharded groups add a
+	// _partNN suffix per cell).
 	for i, name := range db.setNames {
 		db.engine.FeatureGroups()[i].AttachMetrics(db.metrics, poolLabel(name))
 	}
@@ -619,10 +600,31 @@ func (db *DB) buildLocked() error {
 	return nil
 }
 
+// useShardsLocked publishes a sharded build as the DB's engine: one engine
+// over every cell's object index and the shared feature groups. Sharded
+// DBs have no live write path, so there is no base engine. Callers hold
+// db.mu.
+func (db *DB) useShardsLocked(s *shard.Shards) error {
+	if got := len(s.Groups); got != len(db.setNames) {
+		return fmt.Errorf("stpq: sharded build has %d feature groups for %d set names", got, len(db.setNames))
+	}
+	eng, err := core.NewEngineWithParts(s.Objects, s.Total, s.Groups, db.cfg.coreOptions(db.metrics, db.tel))
+	if err != nil {
+		return err
+	}
+	for i, oidx := range s.Objects {
+		oidx.AttachMetrics(db.metrics, fmt.Sprintf("objects_shard%02d", i))
+	}
+	db.engine = eng
+	db.base = nil
+	db.shards = s
+	return nil
+}
+
 // rebuildLocMapsLocked derives the id→location maps from the raw slices.
 // Partial merges need them to delete base items (rtree.Delete requires the
 // exact location); they are maintained incrementally at every merge swap
-// so the write path never rescans the base. Sharded engines have no write
+// so the write path never rescans the base. Sharded DBs have no write
 // path and skip them.
 func (db *DB) rebuildLocMapsLocked() {
 	if db.base == nil {
@@ -812,8 +814,6 @@ func fromCoreStats(st core.Stats) Stats {
 		Combinations:       st.Combinations,
 		FeaturesPulled:     st.FeaturesPulled,
 		ObjectsScored:      st.ObjectsScored,
-		ShardFanout:        st.ShardFanout,
-		ShardPruned:        st.ShardPruned,
 		ApproxCandidates:   st.ApproxCandidates,
 		ApproxPruned:       st.ApproxPruned,
 		ApproxSkippedReads: st.ApproxSkippedReads,

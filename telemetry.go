@@ -53,10 +53,6 @@ type QueryEvent struct {
 	Combinations   int           `json:"combinations"`
 	FeaturesPulled int           `json:"features_pulled"`
 	ObjectsScored  int           `json:"objects_scored"`
-	// ShardFanout and ShardPruned count shards queried / skipped by the
-	// scatter-gather of a sharded DB.
-	ShardFanout int `json:"shard_fanout,omitempty"`
-	ShardPruned int `json:"shard_pruned,omitempty"`
 	// CacheHit marks queries answered from a serving-layer result cache.
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// Sampled reports that the span tree was kept by the sampler or an
@@ -89,8 +85,6 @@ func fromObsEvent(ev obs.QueryEvent) QueryEvent {
 		Combinations:   ev.Combinations,
 		FeaturesPulled: ev.FeaturesPulled,
 		ObjectsScored:  ev.ObjectsScored,
-		ShardFanout:    ev.ShardFanout,
-		ShardPruned:    ev.ShardPruned,
 		CacheHit:       ev.CacheHit,
 		Sampled:        ev.Sampled,
 		Slow:           ev.Slow,

@@ -1,8 +1,8 @@
 package stpq
 
 // telemetry_test.go is the end-to-end check of the observability tentpole:
-// request IDs propagating from the public Query through shard
-// scatter-gather, core execution and the ingest overlay into event records
+// request IDs propagating from the public Query through core execution
+// (sharded and unsharded) and the ingest overlay into event records
 // and span trees; the slow-query log; EXPLAIN's prediction gating; and the
 // WAL/ingest metrics.
 
@@ -92,18 +92,18 @@ func TestRequestIDPropagationSharded(t *testing.T) {
 	if st.Trace == nil || st.Trace.RequestID != q.RequestID {
 		t.Fatalf("stats trace request id = %+v", st.Trace)
 	}
-	if st.ShardFanout < 1 || st.ShardFanout+st.ShardPruned != 2 {
-		t.Errorf("stats fanout/pruned = %d/%d", st.ShardFanout, st.ShardPruned)
+	// One engine answers over both cells: one root span and one event,
+	// not one per shard.
+	if st.Trace.Name != "stps.range" {
+		t.Errorf("sharded trace root = %q, want stps.range", st.Trace.Name)
 	}
-	ev := db.RecentQueries(1)[0]
+	evs := db.RecentQueries(10)
+	if len(evs) != 1 {
+		t.Fatalf("sharded query filed %d events, want 1", len(evs))
+	}
+	ev := evs[0]
 	if ev.RequestID != q.RequestID || ev.Trace == nil || ev.Trace.RequestID != q.RequestID {
 		t.Errorf("sharded event = req %q trace %+v", ev.RequestID, ev.Trace)
-	}
-	// The merged event carries the scatter-gather counters: this is the
-	// shard-level view joining the same request ID.
-	if ev.ShardFanout != st.ShardFanout || ev.ShardPruned != st.ShardPruned {
-		t.Errorf("event fanout/pruned = %d/%d, stats %d/%d",
-			ev.ShardFanout, ev.ShardPruned, st.ShardFanout, st.ShardPruned)
 	}
 }
 
@@ -266,19 +266,10 @@ func TestExplainShardedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ex.Shards) != 2 || ex.Parallelism < 1 {
-		t.Fatalf("sharded plan = %+v", ex)
+	if ex.ObjectParts != 2 {
+		t.Fatalf("sharded plan = %+v, want 2 object parts", ex)
 	}
-	// Scatter order: bounds non-increasing, waves assigned from the order.
-	for i := 1; i < len(ex.Shards); i++ {
-		if ex.Shards[i].Bound > ex.Shards[i-1].Bound {
-			t.Errorf("scatter order broken at %d: %+v", i, ex.Shards)
-		}
-		if ex.Shards[i].Wave < ex.Shards[i-1].Wave {
-			t.Errorf("waves out of order at %d: %+v", i, ex.Shards)
-		}
-	}
-	if s := ex.String(); !strings.Contains(s, "scatter-gather over 2 shards") {
+	if s := ex.String(); !strings.Contains(s, "one engine over 2 object parts") {
 		t.Errorf("sharded render:\n%s", s)
 	}
 }
